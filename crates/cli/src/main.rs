@@ -37,13 +37,17 @@ Utility commands:
   list              List the nine datasets
   stats --dataset NAME [--seed N]        Statistics of one synthetic dataset
   generate --dataset NAME --out FILE     Write a synthetic dataset as an edge list
-  count --dataset NAME [--events K] [--nodes N] [--dc X] [--dw Y]
+  count (--dataset NAME | --input FILE) [--events K] [--nodes N] [--dc X] [--dw Y]
         [--consecutive] [--induced] [--constrained] [--top K]
         [--engine E] [--threads N] [--samples K]
         [--shard-events N] [--max-resident-shards N]
         [--trace FILE] [--explain]
                                          Count motifs under a custom model
                                          (sampling engine prints 95% CIs).
+                                         --input FILE counts a SNAP edge
+                                         list (`src dst t [dur]` per line,
+                                         `#`/`%` comments) instead of a
+                                         synthetic dataset.
                                          --trace FILE records hierarchical
                                          timed spans for the run and writes
                                          them as Chrome-trace JSON (open in
@@ -55,7 +59,8 @@ Utility commands:
                                          (event count, expected window
                                          events, stream eligibility) before
                                          counting.
-  count-batch --dataset NAME (--spec FILE | --all-3e-motifs [--dw Y])
+  count-batch (--dataset NAME | --input FILE)
+        (--spec FILE | --all-3e-motifs [--dw Y])
         [--engine E] [--threads N] [--top K] ...
                                          Count many motif configurations in
                                          shared traversals (~1 walk + N
@@ -153,9 +158,10 @@ Flags:
                 `sampling` is approximate: counts are point estimates
                 with 95% confidence intervals. fig4/fig5 enumerate exact
                 instance statistics and reject it.
-  --threads N   Thread budget for parallel-capable engines (the sharded
-                engine work-steals within each shard; the sampling
-                engine evaluates window draws in parallel with
+  --threads N   Thread budget for parallel-capable engines (the stream
+                engine spreads its pair, center and triangle sweeps over
+                it; the sharded engine work-steals within each shard;
+                the sampling engine evaluates window draws in parallel with
                 bit-identical seeded results; the distributed engine
                 spreads the budget across its workers, N/workers
                 threads inside each worker process)
@@ -219,6 +225,32 @@ fn corpus_from(args: &Args) -> Result<Corpus, Box<dyn std::error::Error>> {
         }
         None => corpus,
     })
+}
+
+/// The graph `count` / `count-batch` runs on, with the name its report
+/// prints: the SNAP edge list `--input FILE` (named by its path) or the
+/// synthetic `--dataset NAME`.
+fn counted_graph(
+    args: &Args,
+    verb: &str,
+) -> Result<(String, tnm_graph::TemporalGraph), Box<dyn std::error::Error>> {
+    let Some(path) = args.get("input") else {
+        let entry = corpus_from(args)?
+            .entries
+            .into_iter()
+            .next()
+            .ok_or_else(|| format!("{verb} requires --dataset NAME or --input FILE"))?;
+        return Ok((entry.spec.name, entry.graph));
+    };
+    if args.get("dataset").or_else(|| args.positional(0)).is_some() {
+        return Err(format!("{verb} takes --dataset NAME or --input FILE, not both").into());
+    }
+    if args.has("scale") {
+        return Err("--scale sizes a --dataset corpus; it does not apply to --input".into());
+    }
+    let graph = tnm_graph::io::read_edge_list_file(path)
+        .map_err(|e| format!("cannot load `{path}`: {e}"))?;
+    Ok((path.to_string(), graph))
 }
 
 fn run_config_from(args: &Args) -> Result<RunConfig, Box<dyn std::error::Error>> {
@@ -729,13 +761,13 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                     "top",
                     "trace",
                     "explain",
+                    "input",
                 ],
             ))?;
-            let corpus = corpus_from(args)?;
-            let entry = corpus.entries.first().ok_or("count requires --dataset NAME")?;
             let cfg = count_cfg_from(args)?;
             let rc = run_config_from(args)?;
             let top: usize = args.get_parsed("top", 20)?;
+            let (name, graph) = counted_graph(args, "count")?;
             let timing = cfg.timing;
             // TNM_OBS=1 turns the metrics registry on for this run (the
             // same knob the distributed worker honors), so operators can
@@ -745,10 +777,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 tnm_obs::set_enabled(true);
             }
             if args.has("explain") {
-                println!(
-                    "{}",
-                    tnm_motifs::engine::explain_auto_select(&entry.graph, &cfg, rc.threads)
-                );
+                println!("{}", tnm_motifs::engine::explain_auto_select(&graph, &cfg, rc.threads));
             }
             let trace = args.get("trace");
             if trace.is_some() {
@@ -760,10 +789,10 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             // One validation-and-dispatch path for every front end: the
             // same Query the serve daemon answers over the wire.
             let query = Query::Report { cfg, engine: rc.engine, threads: rc.threads };
-            let QueryResponse::Report(report) = query.run(&entry.graph)? else {
+            let QueryResponse::Report(report) = query.run(&graph)? else {
                 unreachable!("Report queries answer with Report responses")
             };
-            print_report(&entry.spec.name, &report, timing, top);
+            print_report(&name, &report, timing, top);
             if let Some(path) = trace {
                 let spans = tnm_obs::drain_spans();
                 std::fs::write(path, tnm_obs::chrome_trace(&spans))
@@ -773,21 +802,23 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "count-batch" => {
-            args.ensure_known(&allowed_flags(&common, &["spec", "all-3e-motifs", "dw", "top"]))?;
+            args.ensure_known(&allowed_flags(
+                &common,
+                &["spec", "all-3e-motifs", "dw", "top", "input"],
+            ))?;
             let batch = batch_from(args)?;
             let rc = run_config_from(args)?;
-            let corpus = corpus_from(args)?;
-            let entry = corpus.entries.first().ok_or("count-batch requires --dataset NAME")?;
+            let (name, graph) = counted_graph(args, "count-batch")?;
             // Validate through the Query path before planning, then let
             // the query execute the shared-traversal plan (results are
             // bit-identical to per-config `count` runs).
             let query =
                 Query::Batch { cfgs: batch.clone(), engine: rc.engine, threads: rc.threads };
             query.validate()?;
-            let plan = BatchPlanner::plan(&entry.graph, &batch, rc.engine, rc.threads);
+            let plan = BatchPlanner::plan(&graph, &batch, rc.engine, rc.threads);
             println!(
                 "{}: {} configurations in {} shared traversal group(s) (engine {}):",
-                entry.spec.name,
+                name,
                 batch.len(),
                 plan.num_groups(),
                 rc.engine
@@ -795,7 +826,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             for line in plan.describe().lines() {
                 println!("  [{line}]");
             }
-            let QueryResponse::Batch(results) = query.run(&entry.graph)? else {
+            let QueryResponse::Batch(results) = query.run(&graph)? else {
                 unreachable!("Batch queries answer with Batch responses")
             };
             let top: usize = args.get_parsed("top", 3)?;
@@ -1206,6 +1237,26 @@ mod tests {
         assert!(rc(&["--engine", "distributed", "--workers", "0"]).is_err());
         assert!(rc(&["--engine", "distributed", "--shard-events", "0"]).is_err());
         assert!(rc(&["--engine", "bogus"]).unwrap_err().to_string().contains("distributed"));
+    }
+
+    /// `--input FILE` loads a SNAP edge list under its path's name, and
+    /// is exclusive with `--dataset` and `--scale`.
+    #[test]
+    fn input_flag_loads_a_snap_file() {
+        let path = std::env::temp_dir().join(format!("tnm-cli-input-{}.txt", std::process::id()));
+        std::fs::write(&path, "# src dst t\n10 20 1\n20 30 2\n30 10 3\n").unwrap();
+        let file = path.to_str().unwrap();
+        let args = |tokens: &[&str]| Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+        let (name, graph) = counted_graph(&args(&["--input", file]), "count").unwrap();
+        assert_eq!(name, file);
+        assert_eq!((graph.num_events(), graph.num_nodes()), (3, 3));
+        let both = counted_graph(&args(&["--input", file, "--dataset", "CollegeMsg"]), "count");
+        assert!(both.unwrap_err().to_string().contains("not both"));
+        let scaled = counted_graph(&args(&["--input", file, "--scale", "2"]), "count-batch");
+        assert!(scaled.unwrap_err().to_string().contains("--scale"));
+        std::fs::remove_file(&path).unwrap();
+        let missing = counted_graph(&args(&["--input", file]), "count").unwrap_err().to_string();
+        assert!(missing.contains("cannot load"), "{missing}");
     }
 
     fn batch(tokens: &[&str]) -> Result<Vec<EnumConfig>, Box<dyn std::error::Error>> {

@@ -105,8 +105,23 @@ impl TemporalGraphBuilder {
             Some(n) => n,
             None => max_node + 1,
         };
-        events.sort_unstable();
+        sort_events(&mut events);
         Ok(TemporalGraph::from_sorted_events(events, num_nodes))
+    }
+}
+
+/// Sorts events into the graph's `(time, src, dst, duration)` order. A
+/// batch already in time order — an edge list written by time, once its
+/// ids are compacted — only has its equal-time runs out of order, so it
+/// sorts just those runs: one linear pass plus sorts of a few events,
+/// with the same result as a full sort.
+fn sort_events(events: &mut [Event]) {
+    if events.windows(2).all(|w| w[0].time <= w[1].time) {
+        for run in events.chunk_by_mut(|a, b| a.time == b.time) {
+            run.sort_unstable();
+        }
+    } else {
+        events.sort_unstable();
     }
 }
 
@@ -191,6 +206,31 @@ mod tests {
         assert!(matches!(err, GraphError::NodeOutOfRange { node: 5, num_nodes: 2 }));
         let g = TemporalGraphBuilder::new().num_nodes(10).event(0, 5, 1).build().unwrap();
         assert_eq!(g.num_nodes(), 10);
+    }
+
+    #[test]
+    fn time_ordered_batches_sort_like_a_full_sort() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut events: Vec<Event> = (0..3_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                Event::with_duration((x % 7) as u32, (x >> 8) as u32 % 7, 0, (x >> 16) as u32 % 3)
+            })
+            .collect();
+        // Time order with shuffled ties (the fast path), then arbitrary
+        // order (the fallback): both must equal a plain sort.
+        for (i, e) in events.iter_mut().enumerate() {
+            e.time = (i / 4) as Time;
+        }
+        for batch in [events.clone(), events.iter().rev().copied().collect()] {
+            let mut expect = batch.clone();
+            expect.sort_unstable();
+            let mut got = batch;
+            sort_events(&mut got);
+            assert_eq!(got, expect);
+        }
     }
 
     #[test]

@@ -297,28 +297,39 @@ fn build_node_index(events: &[Event], num_nodes: u32) -> (Vec<u32>, Vec<EventIdx
     (offsets, lists)
 }
 
+/// The edge index: one map probe per event assigns each directed edge a
+/// dense id in first-appearance (time) order, and the per-edge event
+/// lists are laid out as a CSR by counting — spans in first-appearance
+/// order, each list time-sorted.
 fn build_edge_index(events: &[Event]) -> (HashMap<Edge, (u32, u32)>, Vec<EventIdx>) {
-    let mut by_edge: HashMap<Edge, u32> = HashMap::new();
+    // Holds `(dense id, 0)` until the spans are known.
+    let mut spans: HashMap<Edge, (u32, u32)> = HashMap::new();
+    let mut ids: Vec<u32> = Vec::with_capacity(events.len());
+    let mut counts: Vec<u32> = Vec::new();
     for e in events {
-        *by_edge.entry(e.edge()).or_insert(0) += 1;
-    }
-    let mut spans: HashMap<Edge, (u32, u32)> = HashMap::with_capacity(by_edge.len());
-    let mut cursor: HashMap<Edge, u32> = HashMap::with_capacity(by_edge.len());
-    let mut start = 0u32;
-    // Deterministic span layout: iterate events in time order and assign
-    // spans on first sight of each edge.
-    for e in events {
-        let edge = e.edge();
-        if let std::collections::hash_map::Entry::Vacant(e) = spans.entry(edge) {
-            let len = by_edge[&edge];
-            e.insert((start, len));
-            cursor.insert(edge, start);
-            start += len;
+        let next = counts.len() as u32;
+        let id = spans.entry(e.edge()).or_insert((next, 0)).0;
+        if id == next {
+            counts.push(0);
         }
+        counts[id as usize] += 1;
+        ids.push(id);
+    }
+    // Exclusive prefix sums: `cursor[id]` is the span start, then the
+    // next free slot while filling.
+    let mut cursor = Vec::with_capacity(counts.len());
+    let mut start = 0u32;
+    for &n in &counts {
+        cursor.push(start);
+        start += n;
+    }
+    for span in spans.values_mut() {
+        let id = span.0 as usize;
+        *span = (cursor[id], counts[id]);
     }
     let mut lists = vec![0 as EventIdx; events.len()];
-    for (i, e) in events.iter().enumerate() {
-        let c = cursor.get_mut(&e.edge()).expect("edge seen above");
+    for (i, &id) in ids.iter().enumerate() {
+        let c = &mut cursor[id as usize];
         lists[*c as usize] = i as EventIdx;
         *c += 1;
     }
@@ -410,6 +421,48 @@ mod tests {
         let edges = g.static_edges_within(&[NodeId(0), NodeId(1), NodeId(2)]);
         // 0->1, 1->2, 2->0, 0->2 all exist among {0,1,2}.
         assert_eq!(edges.len(), 4);
+    }
+
+    #[test]
+    fn edge_index_matches_four_probe_build() {
+        // The count / span / cursor-map build the one-probe CSR replaced.
+        fn reference(events: &[Event]) -> (HashMap<Edge, (u32, u32)>, Vec<EventIdx>) {
+            let mut by_edge: HashMap<Edge, u32> = HashMap::new();
+            for e in events {
+                *by_edge.entry(e.edge()).or_insert(0) += 1;
+            }
+            let mut spans = HashMap::new();
+            let mut cursor: HashMap<Edge, u32> = HashMap::new();
+            let mut start = 0u32;
+            for e in events {
+                if let std::collections::hash_map::Entry::Vacant(slot) = spans.entry(e.edge()) {
+                    let len = by_edge[&e.edge()];
+                    slot.insert((start, len));
+                    cursor.insert(e.edge(), start);
+                    start += len;
+                }
+            }
+            let mut lists = vec![0; events.len()];
+            for (i, e) in events.iter().enumerate() {
+                let c = cursor.get_mut(&e.edge()).unwrap();
+                lists[*c as usize] = i as EventIdx;
+                *c += 1;
+            }
+            (spans, lists)
+        }
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut events = Vec::new();
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (u, v) = ((x % 13) as u32, ((x >> 8) % 13) as u32);
+            if u != v {
+                events.push(Event::new(u, v, ((x >> 16) % 300) as Time));
+            }
+        }
+        events.sort_unstable();
+        assert_eq!(build_edge_index(&events), reference(&events));
     }
 
     #[test]

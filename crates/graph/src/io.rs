@@ -1,53 +1,236 @@
 //! Edge-list I/O in the SNAP text format used by the paper's datasets.
 //!
-//! Each line is `src dst time [duration]`, whitespace-separated; lines
-//! beginning with `#` or `%` are comments. Node ids may be arbitrary u64
-//! values; they are compacted to dense ids on load (first-appearance
-//! order), matching how SNAP datasets are normally preprocessed.
+//! Each line is `src dst time [duration]`, separated by ASCII
+//! whitespace (space, tab, form feed; a trailing `\r` is trimmed, so
+//! CRLF files load too); fields past the fourth are ignored, and lines
+//! whose first non-blank byte is `#` or `%` are comments. Node ids may
+//! be arbitrary u64 values; they are compacted to dense ids on load
+//! (first-appearance order), matching how SNAP datasets are normally
+//! preprocessed.
+//!
+//! The reader is a byte-level tokenizer: it reads the input in
+//! fixed-size 64 KiB chunks, carrying a partial last line over to the
+//! next chunk, splits on `\n` and parses integer fields straight from
+//! the bytes, with no per-line allocation and no UTF-8 validation. Comment lines may hold any bytes; a data field
+//! that is not ASCII is a [`GraphError::Parse`] on its line. Only a
+//! timestamp that is not an integer takes the slower float path.
+//! Endpoints are compacted as each line is parsed, straight into the
+//! event list the graph is built from.
 
-use crate::builder::{compact_node_ids, TemporalGraphBuilder};
+use crate::builder::TemporalGraphBuilder;
 use crate::error::{GraphError, Result};
+use crate::event::Event;
 use crate::graph::TemporalGraph;
 use crate::ids::Time;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::collections::HashMap;
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
+
+/// Bytes requested per read. A line longer than this grows the buffer
+/// to hold it; the buffer never holds more than one chunk plus one line.
+const READ_CHUNK_BYTES: usize = 1 << 16;
 
 /// Parses a SNAP-style edge list from any reader.
 ///
 /// Self-loops are skipped (real SNAP dumps contain a few), node ids are
 /// compacted, events are sorted by time.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<TemporalGraph> {
-    let buf = BufReader::new(reader);
-    let mut raw: Vec<(u64, u64, Time)> = Vec::new();
-    let mut durations: Vec<u32> = Vec::new();
-    for (lineno, line) in buf.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
+    read_chunked(reader, READ_CHUNK_BYTES)
+}
+
+/// [`read_edge_list`] with an explicit chunk size.
+fn read_chunked<R: Read>(mut reader: R, chunk_bytes: usize) -> Result<TemporalGraph> {
+    let mut parser = LineParser::default();
+    let mut buf = vec![0u8; chunk_bytes.max(1)];
+    // `buf[..carry]` is the partial line left over from the last chunk.
+    let mut carry = 0usize;
+    loop {
+        if buf.len() - carry < chunk_bytes {
+            buf.resize(carry + chunk_bytes.max(1), 0);
         }
-        let mut it = trimmed.split_whitespace();
-        let src = parse_field::<u64>(it.next(), lineno + 1, "source node")?;
-        let dst = parse_field::<u64>(it.next(), lineno + 1, "target node")?;
-        let time = parse_time(it.next(), lineno + 1)?;
-        let duration = match it.next() {
-            Some(tok) => tok.parse::<u32>().map_err(|_| GraphError::Parse {
-                line: lineno + 1,
-                message: format!("invalid duration `{tok}`"),
-            })?,
+        let n = match reader.read(&mut buf[carry..]) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let filled = carry + n;
+        // Complete lines end at the chunk's last newline; the rest is
+        // carried over.
+        match buf[carry..filled].iter().rposition(|&b| b == b'\n') {
+            Some(last) => {
+                let end = carry + last;
+                for line in buf[..end].split(|&b| b == b'\n') {
+                    parser.line(line)?;
+                }
+                buf.copy_within(end + 1..filled, 0);
+                carry = filled - end - 1;
+            }
+            None => carry = filled,
+        }
+    }
+    if carry > 0 {
+        parser.line(&buf[..carry])?;
+    }
+    parser.finish()
+}
+
+/// Ids below this index a direct table; sparser ids go through a map.
+const DIRECT_IDS: u64 = 1 << 20;
+
+/// Per-line parse state: the line counter, the id compaction and the
+/// events parsed so far.
+#[derive(Default)]
+struct LineParser {
+    lineno: usize,
+    /// `direct[id]` is `dense + 1` for a seen id below [`DIRECT_IDS`],
+    /// `0` for an unseen one.
+    direct: Vec<u32>,
+    sparse: HashMap<u64, u32>,
+    num_ids: u32,
+    events: Vec<Event>,
+}
+
+impl LineParser {
+    /// Parses one line (without its `\n`).
+    fn line(&mut self, line: &[u8]) -> Result<()> {
+        self.lineno += 1;
+        let mut fields = Fields(line);
+        let first = match fields.next() {
+            None => return Ok(()),
+            Some(f) if f[0] == b'#' || f[0] == b'%' => return Ok(()),
+            Some(f) => f,
+        };
+        let lineno = self.lineno;
+        let src = parse_id(Some(first), lineno, "source node")?;
+        let dst = parse_id(fields.next(), lineno, "target node")?;
+        let time = parse_time(fields.next(), lineno)?;
+        let duration = match fields.next() {
+            Some(tok) => parse_unsigned(tok)
+                .and_then(|d| u32::try_from(d).ok())
+                .ok_or_else(|| invalid(lineno, "duration", tok))?,
             None => 0,
         };
-        raw.push((src, dst, time));
-        durations.push(duration);
+        let (src, dst) = (self.dense(src), self.dense(dst));
+        self.events.push(Event::with_duration(src, dst, time, duration));
+        Ok(())
     }
-    if raw.is_empty() {
-        return Err(GraphError::Empty);
+
+    /// The dense id of `id`, assigned in first-appearance order.
+    #[inline]
+    fn dense(&mut self, id: u64) -> u32 {
+        let next = self.num_ids;
+        let dense = if id < DIRECT_IDS {
+            let slot = id as usize;
+            if slot >= self.direct.len() {
+                self.direct.resize((slot + 1).next_power_of_two(), 0);
+            }
+            if self.direct[slot] == 0 {
+                self.direct[slot] = next + 1;
+            }
+            self.direct[slot] - 1
+        } else {
+            *self.sparse.entry(id).or_insert(next)
+        };
+        self.num_ids += (dense == next) as u32;
+        dense
     }
-    let (mut events, _names) = compact_node_ids(&raw);
-    for (ev, d) in events.iter_mut().zip(durations) {
-        ev.duration = d;
+
+    fn finish(self) -> Result<TemporalGraph> {
+        if self.events.is_empty() {
+            return Err(GraphError::Empty);
+        }
+        TemporalGraphBuilder::from_events(self.events).skip_self_loops(true).build()
     }
-    TemporalGraphBuilder::from_events(events).skip_self_loops(true).build()
+}
+
+/// The ASCII-whitespace-separated fields of a line.
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = self.0.trim_ascii_start();
+        if rest.is_empty() {
+            return None;
+        }
+        let end = rest.iter().position(|b| b.is_ascii_whitespace()).unwrap_or(rest.len());
+        self.0 = &rest[end..];
+        Some(&rest[..end])
+    }
+}
+
+/// A run of ASCII digits as a `u64`; `None` if empty, not all digits,
+/// or out of range.
+#[inline]
+fn parse_digits(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() {
+        return None;
+    }
+    let mut v = 0u64;
+    // 19 digits cannot overflow a u64; longer runs check every step.
+    if digits.len() <= 19 {
+        for &b in digits {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                return None;
+            }
+            v = v * 10 + d as u64;
+        }
+    } else {
+        for &b in digits {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                return None;
+            }
+            v = v.checked_mul(10)?.checked_add(d as u64)?;
+        }
+    }
+    Some(v)
+}
+
+/// An optionally `+`-signed decimal, as `u64::from_str` accepts it.
+#[inline]
+fn parse_unsigned(tok: &[u8]) -> Option<u64> {
+    parse_digits(tok.strip_prefix(b"+").unwrap_or(tok))
+}
+
+/// An optionally signed decimal, as `i64::from_str` accepts it.
+#[inline]
+fn parse_i64(tok: &[u8]) -> Option<i64> {
+    match tok.strip_prefix(b"-") {
+        Some(digits) => {
+            let mag = parse_digits(digits)?;
+            (mag <= i64::MIN.unsigned_abs()).then(|| (mag as i64).wrapping_neg())
+        }
+        None => parse_unsigned(tok).and_then(|v| i64::try_from(v).ok()),
+    }
+}
+
+fn invalid(line: usize, what: &str, tok: &[u8]) -> GraphError {
+    GraphError::Parse {
+        line,
+        message: format!("invalid {what} `{}`", String::from_utf8_lossy(tok)),
+    }
+}
+
+fn parse_id(tok: Option<&[u8]>, line: usize, what: &str) -> Result<u64> {
+    let tok = tok.ok_or_else(|| GraphError::Parse { line, message: format!("missing {what}") })?;
+    parse_unsigned(tok).ok_or_else(|| invalid(line, what, tok))
+}
+
+/// Timestamps may appear as integers or floats (Copenhagen dumps use
+/// floats); floats are truncated to whole seconds.
+fn parse_time(tok: Option<&[u8]>, line: usize) -> Result<Time> {
+    let tok = tok.ok_or_else(|| GraphError::Parse { line, message: "missing timestamp".into() })?;
+    if let Some(t) = parse_i64(tok) {
+        return Ok(t);
+    }
+    match std::str::from_utf8(tok).ok().and_then(|s| s.parse::<f64>().ok()) {
+        Some(f) if f.is_finite() => Ok(f.trunc() as Time),
+        _ => Err(invalid(line, "timestamp", tok)),
+    }
 }
 
 /// Loads an edge list from a file path.
@@ -120,32 +303,224 @@ pub fn read_events_raw<R: Read>(reader: R) -> Result<Vec<crate::event::Event>> {
     Ok(crate::wire::decode_events(&buf)?)
 }
 
-fn parse_field<T: std::str::FromStr>(tok: Option<&str>, line: usize, what: &str) -> Result<T> {
-    match tok {
-        None => Err(GraphError::Parse { line, message: format!("missing {what}") }),
-        Some(tok) => tok
-            .parse::<T>()
-            .map_err(|_| GraphError::Parse { line, message: format!("invalid {what} `{tok}`") }),
-    }
-}
-
-/// Timestamps may appear as integers or floats (Copenhagen dumps use
-/// floats); floats are truncated to whole seconds.
-fn parse_time(tok: Option<&str>, line: usize) -> Result<Time> {
-    let tok = tok.ok_or_else(|| GraphError::Parse { line, message: "missing timestamp".into() })?;
-    if let Ok(t) = tok.parse::<i64>() {
-        return Ok(t);
-    }
-    match tok.parse::<f64>() {
-        Ok(f) if f.is_finite() => Ok(f.trunc() as Time),
-        _ => Err(GraphError::Parse { line, message: format!("invalid timestamp `{tok}`") }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::NodeId;
+
+    /// The line-at-a-time `str` reader the byte tokenizer replaced, kept
+    /// as the differential oracle: it defines the expected events,
+    /// durations, node count and error line numbers for ASCII input.
+    fn oracle(input: &str) -> Result<TemporalGraph> {
+        use std::io::BufRead;
+        fn field<T: std::str::FromStr>(tok: Option<&str>, line: usize, what: &str) -> Result<T> {
+            let tok =
+                tok.ok_or_else(|| GraphError::Parse { line, message: format!("missing {what}") })?;
+            tok.parse::<T>()
+                .map_err(|_| GraphError::Parse { line, message: format!("invalid {what} `{tok}`") })
+        }
+        let mut raw: Vec<(u64, u64, Time)> = Vec::new();
+        let mut durations: Vec<u32> = Vec::new();
+        for (lineno, line) in input.as_bytes().lines().enumerate() {
+            let line = line?;
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+                continue;
+            }
+            let mut it = trimmed.split_whitespace();
+            let src = field::<u64>(it.next(), lineno + 1, "source node")?;
+            let dst = field::<u64>(it.next(), lineno + 1, "target node")?;
+            let tok = it.next().ok_or_else(|| GraphError::Parse {
+                line: lineno + 1,
+                message: "missing timestamp".into(),
+            })?;
+            let time = match (tok.parse::<i64>(), tok.parse::<f64>()) {
+                (Ok(t), _) => t,
+                (_, Ok(f)) if f.is_finite() => f.trunc() as Time,
+                _ => {
+                    return Err(GraphError::Parse {
+                        line: lineno + 1,
+                        message: format!("invalid timestamp `{tok}`"),
+                    })
+                }
+            };
+            let duration = match it.next() {
+                Some(tok) => field::<u32>(Some(tok), lineno + 1, "duration")?,
+                None => 0,
+            };
+            raw.push((src, dst, time));
+            durations.push(duration);
+        }
+        if raw.is_empty() {
+            return Err(GraphError::Empty);
+        }
+        let (mut events, _names) = crate::builder::compact_node_ids(&raw);
+        for (ev, d) in events.iter_mut().zip(durations) {
+            ev.duration = d;
+        }
+        TemporalGraphBuilder::from_events(events).skip_self_loops(true).build()
+    }
+
+    /// Both readers' outcome in one comparable form.
+    fn outcome(r: Result<TemporalGraph>) -> std::result::Result<(Vec<Event>, u32), String> {
+        r.map(|g| (g.events().to_vec(), g.num_nodes())).map_err(|e| e.to_string())
+    }
+
+    /// A reader that hands out at most `n` bytes per `read` call.
+    struct Trickle<'a>(&'a [u8], usize);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(self.1).min(out.len());
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// Xorshift64 source for the generated documents.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn pick(&mut self, options: &[&str]) -> String {
+            options[self.below(options.len() as u64) as usize].to_string()
+        }
+
+        fn id(&mut self) -> String {
+            match self.below(6) {
+                0 => (u64::MAX - self.below(3)).to_string(),
+                1 => format!("+{}", self.below(8)),
+                _ => self.below(8).to_string(),
+            }
+        }
+
+        fn time(&mut self) -> String {
+            match self.below(8) {
+                0 => format!("-{}", self.below(1000)),
+                1 => format!("+{}", self.below(1000)),
+                2 => format!("{}.{}", self.below(1000), self.below(100)),
+                3 => format!("-{}.5", self.below(100)),
+                _ => self.below(1000).to_string(),
+            }
+        }
+    }
+
+    /// A seeded random SNAP-style document: comments, blank lines, CRLF,
+    /// tabs, signed and float timestamps, durations, extra fields,
+    /// self-loops, sparse ids near `u64::MAX`, and now and then a bad
+    /// token.
+    fn random_document(seed: u64) -> String {
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut doc = String::new();
+        for _ in 0..1 + rng.below(40) {
+            let line = match rng.below(20) {
+                0 => rng.pick(&["# comment", "% comment 1 2 3", "   # indented", "#"]),
+                1 => rng.pick(&["", "   ", "\t", " \t "]),
+                _ => {
+                    let src = rng.id();
+                    let dst = if rng.below(10) == 0 { src.clone() } else { rng.id() };
+                    let mut fields = vec![src, dst, rng.time()];
+                    match rng.below(6) {
+                        0 => fields.push(rng.below(50).to_string()),
+                        1 => fields.extend([rng.below(50).to_string(), "extra".to_string()]),
+                        _ => {}
+                    }
+                    if rng.below(25) == 0 {
+                        // One corrupt field: bad digits, a bare sign, an
+                        // out-of-range duration, or a missing column.
+                        let at = rng.below(fields.len() as u64) as usize;
+                        match rng.below(4) {
+                            0 => fields[at] = "x1".into(),
+                            1 => fields[at] = "-".into(),
+                            2 => fields.push("4294967296".into()),
+                            _ => fields.truncate(at.min(2)),
+                        }
+                    }
+                    let sep = rng.pick(&[" ", "  ", "\t", " \t"]);
+                    format!("{}{}", rng.pick(&["", "", " ", "\t"]), fields.join(&sep))
+                }
+            };
+            doc.push_str(&line);
+            doc.push_str(if rng.below(4) == 0 { "\r\n" } else { "\n" });
+        }
+        if rng.below(3) == 0 {
+            doc.pop(); // no newline after the last line
+        }
+        doc
+    }
+
+    #[test]
+    fn byte_reader_matches_str_oracle() {
+        let (mut loaded, mut failed) = (0, 0);
+        for seed in 0..400u64 {
+            let doc = random_document(seed);
+            let expect = outcome(oracle(&doc));
+            match &expect {
+                Ok(_) => loaded += 1,
+                Err(_) => failed += 1,
+            }
+            assert_eq!(outcome(read_edge_list_str(&doc)), expect, "seed {seed}:\n{doc}");
+            for chunk in [1, 2, 3, 5, 8, 13, 64] {
+                let got = outcome(read_chunked(doc.as_bytes(), chunk));
+                assert_eq!(got, expect, "seed {seed}, chunk {chunk}");
+            }
+        }
+        // The generator must exercise both outcomes.
+        assert!(loaded > 100 && failed > 20, "loaded {loaded}, failed {failed}");
+    }
+
+    #[test]
+    fn every_chunk_boundary_and_short_read_agrees() {
+        let doc =
+            "# header\r\n100 200 10 3\r\n\n 200\t100 -15\n+7 100 1.5 0 x\n300 300 2\n300 100 12";
+        let expect = outcome(oracle(doc));
+        assert!(expect.is_ok(), "{expect:?}");
+        for chunk in 1..=doc.len() + 1 {
+            assert_eq!(outcome(read_chunked(doc.as_bytes(), chunk)), expect, "chunk {chunk}");
+            let short = Trickle(doc.as_bytes(), chunk);
+            assert_eq!(outcome(read_edge_list(short)), expect, "reads of {chunk} bytes");
+        }
+        // An error line number survives every cut too.
+        let bad = "1 2 3\n# c\n\n4 5 6\n7 8 nine\n";
+        for chunk in 1..=bad.len() + 1 {
+            let err = read_chunked(bad.as_bytes(), chunk).unwrap_err();
+            assert!(matches!(err, GraphError::Parse { line: 5, .. }), "chunk {chunk}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_utf8_comments_load() {
+        let g = read_edge_list(&b"# caf\xe9\n1 2 3\n% \xff\xfe\n2 3 4\n"[..]).unwrap();
+        assert_eq!(g.num_events(), 2);
+    }
+
+    #[test]
+    fn non_ascii_data_tokens_are_parse_errors() {
+        let err = read_edge_list(&b"1 2 3\n1 \xff 4\n"[..]).unwrap_err();
+        match err {
+            GraphError::Parse { line, message } => {
+                assert_eq!(line, 2);
+                assert!(message.contains("target node"), "{message}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        let err = read_edge_list_str("1 2 3\n# ok\n1 2 4\u{e9}\n").unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 3, .. }), "{err}");
+    }
+
+    #[test]
+    fn crlf_and_tabs() {
+        let g = read_edge_list_str("1\t2\t10\r\n2 \t 1  11 5\r\n").unwrap();
+        assert_eq!(g.num_events(), 2);
+        assert_eq!(g.events()[1].duration, 5);
+    }
 
     #[test]
     fn parse_basic_edge_list() {

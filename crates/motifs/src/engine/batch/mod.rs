@@ -233,7 +233,8 @@ impl BatchPlan {
                         let w = StreamEngine::class_wants(&cfgs[i]);
                         wants = (wants.0 || w.0, wants.1 || w.1, wants.2 || w.2);
                     }
-                    let spectrum = StreamEngine::spectrum(graph, *delta_w, *num_events, wants);
+                    let spectrum =
+                        StreamEngine::new(threads).spectrum(graph, *delta_w, *num_events, wants);
                     for &i in &group.members {
                         out[i] = StreamEngine::project(&spectrum, &cfgs[i]);
                     }

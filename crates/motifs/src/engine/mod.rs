@@ -19,7 +19,7 @@
 //! | [`ParallelEngine`] | work-stealing workers over the windowed index | large graphs on multi-core hardware with enough admissible work per start event |
 //! | [`ShardedEngine`] | time-slice shards with bounded halos ([`tnm_graph::shard`]), counted one at a time; work-stealing within a shard, optional spill to disk | very large logs under bounded timing — and the only exact option when the working set must stay below the graph size (out-of-core runs) |
 //! | [`DistributedEngine`] | coordinator/worker **processes** over the shard plan: spilled shards shipped to `tnm worker` children via the framed [`tnm_graph::wire`] protocol, crash-detected shards rescheduled onto survivors | the same huge bounded-timing logs once one process's cores are the bottleneck — the stepping stone to multi-machine runs |
-//! | [`StreamEngine`] | count-without-enumerating window DPs (2-node pair prefix counts, per-center star tables, per-triangle label DP) | eligible Paranjape-shape jobs — ΔW only, non-induced, no restrictions, ≤ 3 events, ≤ 3 nodes — where cost is near-linear in *events*, not instances; ineligible configs fall back to the windowed walker |
+//! | [`StreamEngine`] | count-without-enumerating window DPs (2-node pair prefix counts, per-center star tables, per-triangle label DP), each class's pairs/centers/triangle blocks work-stolen across the thread budget | eligible Paranjape-shape jobs — ΔW only, non-induced, no restrictions, ≤ 3 events, ≤ 3 nodes — where cost is near-linear in *events*, not instances; ineligible configs fall back to the windowed walker |
 //! | [`SamplingEngine`] | interval sampling over the windowed index; draws evaluate in parallel under a thread budget with bit-identical seeded results | graphs or windows too large for exact counting, when an estimate with a confidence interval is enough |
 //!
 //! The walkers all pay cost proportional to the number of motif
@@ -117,7 +117,7 @@
 //!   the `u32` source/destination columns.
 //! * **Arena-resident merged lists.** The [`StreamEngine`] DPs never
 //!   allocate per pair/center/triangle: merged direction- or
-//!   label-tagged event lists live in one reusable SoA arena with
+//!   label-tagged event lists live in one reusable SoA arena per worker with
 //!   precomputed timestamp-group boundaries, window expiry advances an
 //!   amortized group cursor against those boundaries, and the DP tables are
 //!   flat bit-indexed `[u64; K]` accumulators whose updates are
@@ -258,7 +258,8 @@ pub enum EngineKind {
     /// [`ParallelEngine`] over the windowed index.
     Parallel,
     /// [`StreamEngine`]: exact count-without-enumerating fast path for
-    /// eligible Paranjape-shape jobs, windowed-walker fallback otherwise.
+    /// eligible Paranjape-shape jobs, windowed-walker fallback otherwise;
+    /// its DP classes fan out over the thread budget.
     Stream,
     /// [`ShardedEngine`] over time-slice shards (exact; spills to disk
     /// when `max_resident_shards > 0`).
@@ -353,7 +354,9 @@ fn expected_window_events(graph: &TemporalGraph, cfg: &EnumConfig) -> f64 {
 ///    set, no ΔC, no restrictions, non-induced, ≤ 3 events, ≤ 3 nodes)
 ///    → [`EngineKind::Stream`] — the only asymptotic win on the table
 ///    (near-linear in events, not instances), so it outranks every
-///    walker regardless of graph size or thread budget. One carve-out:
+///    walker regardless of graph size or thread budget; it honours the
+///    budget itself, fanning its pair/center/triangle work out over
+///    `threads` workers from [`SERIAL_FALLBACK_EVENTS`] events up. One carve-out:
 ///    when the job's triangle class would run
 ///    ([`StreamEngine::needs_triads`]) **and** the window is starved
 ///    (expected occupancy below [`STREAM_MIN_WINDOW_EVENTS`]), the
@@ -545,7 +548,7 @@ impl EngineKind {
             EngineKind::Backtrack => Box::new(BacktrackEngine),
             EngineKind::Windowed => Box::new(WindowedEngine),
             EngineKind::Parallel => Box::new(ParallelEngine::new(threads)),
-            EngineKind::Stream => Box::new(StreamEngine),
+            EngineKind::Stream => Box::new(StreamEngine::new(threads)),
             EngineKind::Sharded { shard_events, max_resident_shards } => {
                 let mut engine =
                     ShardedEngine::new(shard_events.max(1)).with_threads(threads.max(1));
@@ -913,6 +916,8 @@ mod tests {
         assert!(!samp.capabilities().parallel);
         assert!(samp.capabilities().windowed_pruning);
         assert!(!StreamEngine.capabilities().parallel);
+        assert!(!StreamEngine::new(1).capabilities().parallel);
+        assert!(StreamEngine::new(4).capabilities().parallel);
         assert!(StreamEngine.capabilities().windowed_pruning);
         assert!(StreamEngine.capabilities().deterministic_enumeration);
         assert!(StreamEngine.capabilities().supports_signature_filter);

@@ -59,9 +59,9 @@ pub const DEFAULT_STEAL_CHUNK: usize = 64;
 
 impl ParallelConfig {
     /// Standard configuration for `threads` workers.
-    pub fn new(threads: usize) -> Self {
+    pub const fn new(threads: usize) -> Self {
         ParallelConfig {
-            threads: threads.max(1),
+            threads: if threads == 0 { 1 } else { threads },
             serial_fallback_events: SERIAL_FALLBACK_EVENTS,
             steal_chunk: DEFAULT_STEAL_CHUNK,
         }

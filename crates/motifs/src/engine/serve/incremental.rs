@@ -122,7 +122,7 @@ impl IncrementalStream {
         }
         let delta = cfg.timing.delta_w.expect("eligible config has ΔW");
         let wants = StreamEngine::class_wants(cfg);
-        let spectrum = StreamEngine::spectrum(graph, delta, cfg.num_events, wants);
+        let spectrum = StreamEngine.spectrum(graph, delta, cfg.num_events, wants);
         let last_time = graph.last_time();
         let tail = match last_time {
             Some(last) => {
@@ -195,8 +195,8 @@ impl IncrementalStream {
 
         let before = TemporalGraph::from_sorted_events(suffix.to_vec(), self.num_nodes);
         let after = TemporalGraph::from_sorted_events(merged.clone(), self.num_nodes);
-        let old = StreamEngine::spectrum(&before, self.delta, self.cfg.num_events, self.wants);
-        let new = StreamEngine::spectrum(&after, self.delta, self.cfg.num_events, self.wants);
+        let old = StreamEngine.spectrum(&before, self.delta, self.cfg.num_events, self.wants);
+        let new = StreamEngine.spectrum(&after, self.delta, self.cfg.num_events, self.wants);
         for (sig, n) in new.iter() {
             let prior = old.get(sig);
             debug_assert!(n >= prior, "non-induced counting is monotone under appends");

@@ -17,10 +17,10 @@
 //!
 //! The contract: a class clears the arena, appends its merged list
 //! (times plus whichever payload it uses), calls `seal_groups`, and
-//! runs its DP over `(times, tags/aux, bounds)` slices. One arena is
-//! created per [`super::StreamEngine::spectrum`] call and threaded
-//! through every class, so a full spectrum pass performs O(1) scratch
-//! allocations total instead of one per pair/center/triangle.
+//! runs its DP over `(times, tags/aux, bounds)` slices. Each worker of
+//! a class owns one arena for its whole share of the pass, so a
+//! spectrum pass performs O(workers) scratch allocations instead of one
+//! per pair/center/triangle.
 
 use tnm_graph::Time;
 

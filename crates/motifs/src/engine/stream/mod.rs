@@ -34,8 +34,25 @@
 //! view ([`TemporalGraph::columns`]), window expiry advances an
 //! amortized cursor over precomputed timestamp-group boundaries, and
 //! the DP tables are flat bit-indexed accumulators so the inner loops
-//! are branchless indexed adds. One arena is created per spectrum pass
-//! and threaded through every class.
+//! are branchless indexed adds.
+//!
+//! ## Parallel fan-out
+//!
+//! The three sums are independent per work item, so each class fans its
+//! items out over the engine's thread budget through the work-stealing
+//! executor (`parallel::work_steal_map`): unordered node pairs for [`pair`],
+//! centers (highest degree first) for [`star`], and the
+//! footprint-sorted triangle blocks (largest block first, so the tail
+//! balances) for [`triad`]. Every worker owns its `arena::DpArena`, its
+//! per-center scratch and its flat `[u64; K]` tables; after join the
+//! tables and the `stream.*` counters are summed, and the
+//! `window_events`/`center_events` gauges take the max. u64 sums
+//! commute, so the counts — and the counters — are bit-identical at
+//! every thread count. A pass stays on the calling thread when the
+//! budget is one or the graph has fewer than
+//! [`ParallelConfig::serial_fallback_events`] events, where spawning
+//! costs more than it splits. [`StreamEngine`] (the constant) is the
+//! serial engine; [`StreamEngine::new`] takes a budget.
 //!
 //! ## Eligibility and fallback
 //!
@@ -63,10 +80,9 @@ mod pair;
 mod star;
 mod triad;
 
-use arena::DpArena;
-
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
+use crate::engine::parallel::{work_steal_map, ParallelConfig};
 use crate::engine::windowed::WindowedEngine;
 use crate::engine::{CountEngine, EngineCaps};
 use crate::notation::MotifSignature;
@@ -74,10 +90,48 @@ use tnm_graph::TemporalGraph;
 
 /// Exact count-without-enumerating engine for eligible Paranjape-model
 /// configurations; transparent [`WindowedEngine`] fallback otherwise.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamEngine;
+/// The DP classes fan out over the thread budget (see the
+/// [module docs](self) on the parallel fan-out).
+#[derive(Debug, Clone, Copy)]
+pub struct StreamEngine {
+    config: ParallelConfig,
+}
+
+/// The serial stream engine, usable as a value (`StreamEngine.count(..)`)
+/// the way the serial walkers are; [`StreamEngine::new`] takes a thread
+/// budget.
+#[allow(non_upper_case_globals)]
+pub const StreamEngine: StreamEngine = StreamEngine { config: ParallelConfig::new(1) };
+
+impl Default for StreamEngine {
+    fn default() -> Self {
+        StreamEngine
+    }
+}
 
 impl StreamEngine {
+    /// The engine with `threads` workers (clamped to at least 1).
+    pub fn new(threads: usize) -> Self {
+        StreamEngine { config: ParallelConfig::new(threads) }
+    }
+
+    /// Overrides the executor tuning: the thread budget and the event
+    /// count below which a pass stays serial
+    /// ([`ParallelConfig::serial_fallback_events`]).
+    pub fn with_config(config: ParallelConfig) -> Self {
+        StreamEngine { config: ParallelConfig { threads: config.threads.max(1), ..config } }
+    }
+
+    /// Workers a pass over `graph` fans out to: the budget, or one below
+    /// the serial fallback.
+    fn workers(&self, graph: &TemporalGraph) -> usize {
+        if graph.num_events() < self.config.serial_fallback_events {
+            1
+        } else {
+            self.config.threads
+        }
+    }
+
     /// True if `cfg` is in the shape the streaming decomposition covers:
     /// the Paranjape δ-window model (ΔW set, no ΔC, no
     /// duration-awareness, no consecutive/constrained/induced
@@ -139,16 +193,14 @@ impl StreamEngine {
     /// ([`StreamEngine::project`]), which is what lets a batch of
     /// eligible configs share a single pass.
     pub(crate) fn spectrum(
+        &self,
         graph: &TemporalGraph,
         delta: tnm_graph::Time,
         num_events: usize,
         (want_two, want_star, want_triad): (bool, bool, bool),
     ) -> MotifCounts {
         let mut spectrum = MotifCounts::new();
-        // One arena serves every class: each DP clears and refills the
-        // same scratch, so a full pass allocates O(1) times total (see
-        // the [`arena`] module docs for the layout contract).
-        let mut arena = DpArena::default();
+        let threads = self.workers(graph);
         match num_events {
             1 => {
                 if want_two {
@@ -159,21 +211,21 @@ impl StreamEngine {
             }
             2 => {
                 if want_two {
-                    pair::count_pairs(graph, delta, &mut spectrum, &mut arena);
+                    pair::count_pairs(graph, delta, &mut spectrum, threads);
                 }
                 if want_star {
-                    star::count_wedges(graph, delta, &mut spectrum, &mut arena);
+                    star::count_wedges(graph, delta, &mut spectrum, threads);
                 }
             }
             3 => {
                 if want_two {
-                    pair::count_triples(graph, delta, &mut spectrum, &mut arena);
+                    pair::count_triples(graph, delta, &mut spectrum, threads);
                 }
                 if want_star {
-                    star::count_stars(graph, delta, &mut spectrum, &mut arena);
+                    star::count_stars(graph, delta, &mut spectrum, threads);
                 }
                 if want_triad {
-                    triad::count_triads(graph, delta, &mut spectrum, &mut arena);
+                    triad::count_triads(graph, delta, &mut spectrum, threads);
                 }
             }
             _ => unreachable!("eligibility caps num_events at 3"),
@@ -202,9 +254,9 @@ impl StreamEngine {
 
     /// The streaming fast path. Must only be called for eligible
     /// configurations.
-    fn stream_count(graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
+    fn stream_count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
         let delta = cfg.timing.delta_w.expect("eligible config has ΔW");
-        let spectrum = Self::spectrum(graph, delta, cfg.num_events, Self::class_wants(cfg));
+        let spectrum = self.spectrum(graph, delta, cfg.num_events, Self::class_wants(cfg));
         Self::project(&spectrum, cfg)
     }
 }
@@ -216,7 +268,7 @@ impl CountEngine for StreamEngine {
 
     fn capabilities(&self) -> EngineCaps {
         EngineCaps {
-            parallel: false,
+            parallel: self.config.threads > 1,
             windowed_pruning: true,
             deterministic_enumeration: true,
             supports_signature_filter: true,
@@ -225,7 +277,7 @@ impl CountEngine for StreamEngine {
 
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
         if Self::eligible(cfg) {
-            Self::stream_count(graph, cfg)
+            self.stream_count(graph, cfg)
         } else {
             WindowedEngine.count(graph, cfg)
         }
@@ -258,33 +310,79 @@ fn undirected_pairs_of(sig: &MotifSignature) -> usize {
 }
 
 /// Direct entry points into the three DP classes for benchmarks: each
-/// runs one class end-to-end (arena included) and returns its counts.
-/// Not part of the public API — the supported surface is
-/// [`StreamEngine`]; these exist so the `hotpath_*` bench groups can
-/// time one class without the spectrum dispatch around it.
+/// runs one class end-to-end, fanned out over
+/// [`ParallelConfig::default`]'s thread budget as the engine would, and
+/// returns its counts. Not part of the public API — the supported
+/// surface is [`StreamEngine`]; these exist so the `hotpath_*` bench
+/// groups can time one class without the spectrum dispatch around it.
 #[doc(hidden)]
 pub mod hotpath {
     use super::*;
 
+    fn threads(graph: &TemporalGraph) -> usize {
+        StreamEngine::with_config(ParallelConfig::default()).workers(graph)
+    }
+
     /// 3-event 2-node sequence DP over every node pair.
     pub fn pair_triples(graph: &TemporalGraph, delta: tnm_graph::Time) -> MotifCounts {
         let mut out = MotifCounts::new();
-        pair::count_triples(graph, delta, &mut out, &mut DpArena::default());
+        pair::count_triples(graph, delta, &mut out, threads(graph));
         out
     }
 
     /// 3-event star sweeps over every center node.
     pub fn star_stars(graph: &TemporalGraph, delta: tnm_graph::Time) -> MotifCounts {
         let mut out = MotifCounts::new();
-        star::count_stars(graph, delta, &mut out, &mut DpArena::default());
+        star::count_stars(graph, delta, &mut out, threads(graph));
         out
     }
 
     /// 6-label triangle DP over every static triangle.
     pub fn triad_triads(graph: &TemporalGraph, delta: tnm_graph::Time) -> MotifCounts {
         let mut out = MotifCounts::new();
-        triad::count_triads(graph, delta, &mut out, &mut DpArena::default());
+        triad::count_triads(graph, delta, &mut out, threads(graph));
         out
+    }
+}
+
+/// Runs `work` over the item range `0..len` and returns the per-worker
+/// states: on the calling thread when `threads <= 1`, else through the
+/// work-stealing executor in `chunk`-item claims.
+fn fan_out<A, MS, W>(threads: usize, len: usize, chunk: usize, make: MS, work: W) -> Vec<A>
+where
+    A: Send,
+    MS: Fn() -> A + Sync,
+    W: Fn(&mut A, std::ops::Range<usize>) + Sync,
+{
+    if threads <= 1 {
+        let mut state = make();
+        work(&mut state, 0..len);
+        return vec![state];
+    }
+    work_steal_map(len, threads, chunk, make, work)
+}
+
+/// One worker's `stream.*` tallies: items swept and groups advanced
+/// (summed across workers) and the largest merged list (max).
+#[derive(Debug, Default, Clone, Copy)]
+struct SweepStats {
+    swept: u64,
+    groups: u64,
+    peak: u64,
+}
+
+impl SweepStats {
+    #[inline]
+    fn record(&mut self, groups: usize, events: usize) {
+        self.swept += 1;
+        self.groups += groups as u64;
+        self.peak = self.peak.max(events as u64);
+    }
+
+    fn absorb(&mut self, other: &SweepStats) {
+        self.swept += other.swept;
+        self.groups += other.groups;
+        self.peak = self.peak.max(other.peak);
     }
 }
 

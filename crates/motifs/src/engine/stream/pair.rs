@@ -29,9 +29,9 @@
 //! cursor pairs walking the virtual merge (see [`pair_fused_dp`]).
 
 use super::arena::{expiry_cut, DpArena, SealedGroups};
-use super::two_node_signature;
+use super::{fan_out, two_node_signature, SweepStats};
 use crate::count::MotifCounts;
-use tnm_graph::{Edge, EventIdx, NodeId, TemporalGraph, Time};
+use tnm_graph::{Edge, EventIdx, TemporalGraph, Time};
 
 /// Accumulated direction sequences for one pair list: `two` is indexed
 /// `(d1 << 1) | d2`, `three` is `(d1 << 2) | (d2 << 1) | d3`.
@@ -46,9 +46,9 @@ pub(crate) fn count_pairs(
     graph: &TemporalGraph,
     delta: Time,
     out: &mut MotifCounts,
-    arena: &mut DpArena,
+    threads: usize,
 ) {
-    let acc = accumulate::<false>(graph, delta, arena);
+    let acc = accumulate::<false>(graph, delta, threads);
     for (slot, &n) in acc.two.iter().enumerate() {
         if n > 0 {
             out.add(two_node_signature(&[(slot >> 1) as u8 & 1, slot as u8 & 1]), n);
@@ -61,9 +61,9 @@ pub(crate) fn count_triples(
     graph: &TemporalGraph,
     delta: Time,
     out: &mut MotifCounts,
-    arena: &mut DpArena,
+    threads: usize,
 ) {
-    let acc = accumulate::<true>(graph, delta, arena);
+    let acc = accumulate::<true>(graph, delta, threads);
     for (slot, &n) in acc.three.iter().enumerate() {
         if n > 0 {
             let dirs = [(slot >> 2) as u8 & 1, (slot >> 1) as u8 & 1, slot as u8 & 1];
@@ -72,73 +72,86 @@ pub(crate) fn count_triples(
     }
 }
 
-/// Runs the window DP over every unordered node pair with events.
-/// `TRIPLES` switches on the `counts2`/3-event machinery, which 2-event
-/// counting never reads; as a const generic the disabled branches
-/// vanish at compile time.
-fn accumulate<const TRIPLES: bool>(
-    graph: &TemporalGraph,
-    delta: Time,
-    arena: &mut DpArena,
-) -> PairAcc {
-    let obs = tnm_obs::enabled();
-    let (mut pairs_swept, mut groups_advanced, mut peak_window) = (0u64, 0u64, 0u64);
-    let mut acc = PairAcc::default();
+/// Unordered pairs claimed per work-stealing step.
+const PAIR_CHUNK: usize = 16;
+
+/// One worker's state: its arena, accumulators and tallies.
+#[derive(Default)]
+struct PairWorker {
+    arena: DpArena,
+    acc: PairAcc,
+    stats: SweepStats,
+}
+
+/// Runs the window DP over every unordered node pair with events, the
+/// pairs fanned out over `threads` workers. `TRIPLES` switches on the
+/// `counts2`/3-event machinery, which 2-event counting never reads; as
+/// a const generic the disabled branches vanish at compile time.
+fn accumulate<const TRIPLES: bool>(graph: &TemporalGraph, delta: Time, threads: usize) -> PairAcc {
     let times = graph.times();
     // A tie-free log (no two events anywhere share a timestamp) makes
     // every group a single event: the DP then runs fused over the two
     // directed index lists — no merged list is materialized at all.
     let tie_free = !graph.columns().has_time_ties();
-    for edge in graph.static_edges() {
-        let (lo, hi) = (edge.src.min(edge.dst), edge.src.max(edge.dst));
-        // Visit each unordered pair once: from its lo→hi edge when that
-        // exists, else from the hi→lo edge (which then exists alone).
-        if edge.src > edge.dst && graph.has_edge(Edge { src: lo, dst: hi }) {
-            continue;
-        }
-        if tie_free {
-            let fwd = graph.edge_events(Edge { src: lo, dst: hi });
-            let rev = graph.edge_events(Edge { src: hi, dst: lo });
-            if obs {
-                pairs_swept += 1;
-                groups_advanced += (fwd.len() + rev.len()) as u64;
-                peak_window = peak_window.max((fwd.len() + rev.len()) as u64);
+    // Work items: each unordered pair once, as its (lo→hi, hi→lo) event
+    // lists — from its lo→hi edge when that exists, else from the hi→lo
+    // edge (which then exists alone).
+    let mut pairs: Vec<[&[EventIdx]; 2]> = graph
+        .static_edges()
+        .filter_map(|edge| {
+            let (lo, hi) = (edge.src.min(edge.dst), edge.src.max(edge.dst));
+            let fwd = Edge { src: lo, dst: hi };
+            if edge.src > edge.dst && graph.has_edge(fwd) {
+                return None;
             }
-            pair_fused_dp::<TRIPLES>(times, fwd, rev, delta, &mut acc);
-        } else {
-            merge_pair_events(graph, times, lo, hi, arena);
-            if obs {
-                pairs_swept += 1;
-                groups_advanced += arena.num_groups() as u64;
-                peak_window = peak_window.max(arena.times.len() as u64);
-            }
-            pair_window_dp::<TRIPLES>(&arena.times, &arena.tags, &arena.bounds, delta, &mut acc);
-        }
+            Some([graph.edge_events(fwd), graph.edge_events(Edge { src: hi, dst: lo })])
+        })
+        .collect();
+    if threads > 1 {
+        // Longest lists first, so the heaviest sweeps start early and
+        // the tail balances.
+        pairs.sort_unstable_by_key(|[f, r]| std::cmp::Reverse(f.len() + r.len()));
     }
-    if obs {
+    let workers = fan_out(threads, pairs.len(), PAIR_CHUNK, PairWorker::default, |w, range| {
+        for &[fwd, rev] in &pairs[range] {
+            if tie_free {
+                w.stats.record(fwd.len() + rev.len(), fwd.len() + rev.len());
+                pair_fused_dp::<TRIPLES>(times, fwd, rev, delta, &mut w.acc);
+            } else {
+                merge_pair_events(times, fwd, rev, &mut w.arena);
+                w.stats.record(w.arena.num_groups(), w.arena.times.len());
+                let a = &w.arena;
+                pair_window_dp::<TRIPLES>(&a.times, &a.tags, &a.bounds, delta, &mut w.acc);
+            }
+        }
+    });
+    let mut acc = PairAcc::default();
+    let mut stats = SweepStats::default();
+    for w in &workers {
+        for (s, &n) in acc.two.iter_mut().zip(&w.acc.two) {
+            *s += n;
+        }
+        for (s, &n) in acc.three.iter_mut().zip(&w.acc.three) {
+            *s += n;
+        }
+        stats.absorb(&w.stats);
+    }
+    if tnm_obs::enabled() {
         let reg = tnm_obs::global();
-        reg.counter("stream.pair.pairs_swept").add(pairs_swept);
-        reg.counter("stream.pair.groups_advanced").add(groups_advanced);
-        reg.gauge("stream.pair.window_events").set(peak_window);
+        reg.counter("stream.pair.pairs_swept").add(stats.swept);
+        reg.counter("stream.pair.groups_advanced").add(stats.groups);
+        reg.gauge("stream.pair.window_events").set(stats.peak);
     }
     acc
 }
 
-/// Merges the two directed event lists of `{lo, hi}` into the arena's
-/// SoA scratch as a time-ordered direction-tagged list and seals its
-/// group boundaries. Event-index order is global time order, so a
-/// two-pointer merge on indices suffices; timestamps are resolved
-/// against the dense SoA time column.
-fn merge_pair_events(
-    graph: &TemporalGraph,
-    times: &[Time],
-    lo: NodeId,
-    hi: NodeId,
-    arena: &mut DpArena,
-) {
+/// Merges a pair's two directed event lists (`fwd` = lo→hi, `rev` =
+/// hi→lo) into the arena's SoA scratch as a time-ordered
+/// direction-tagged list and seals its group boundaries. Event-index
+/// order is global time order, so a two-pointer merge on indices
+/// suffices; timestamps are resolved against the dense SoA time column.
+fn merge_pair_events(times: &[Time], fwd: &[EventIdx], rev: &[EventIdx], arena: &mut DpArena) {
     arena.clear();
-    let fwd = graph.edge_events(Edge { src: lo, dst: hi });
-    let rev = graph.edge_events(Edge { src: hi, dst: lo });
     arena.times.reserve(fwd.len() + rev.len());
     arena.tags.reserve(fwd.len() + rev.len());
     let (mut i, mut j) = (0, 0);
@@ -302,7 +315,7 @@ fn pair_window_dp<const TRIPLES: bool>(
 mod tests {
     use super::*;
     use crate::notation::sig;
-    use tnm_graph::{Event, TemporalGraphBuilder};
+    use tnm_graph::{Event, NodeId, TemporalGraphBuilder};
 
     fn graph(events: &[(u32, u32, i64)]) -> TemporalGraph {
         let mut b = TemporalGraphBuilder::new();
@@ -314,13 +327,13 @@ mod tests {
 
     fn pairs(g: &TemporalGraph, delta: Time) -> MotifCounts {
         let mut c = MotifCounts::new();
-        count_pairs(g, delta, &mut c, &mut DpArena::default());
+        count_pairs(g, delta, &mut c, 1);
         c
     }
 
     fn triples(g: &TemporalGraph, delta: Time) -> MotifCounts {
         let mut c = MotifCounts::new();
-        count_triples(g, delta, &mut c, &mut DpArena::default());
+        count_triples(g, delta, &mut c, 1);
         c
     }
 
@@ -392,7 +405,7 @@ mod tests {
         let fwd = g.edge_events(Edge { src: NodeId(0), dst: NodeId(1) });
         let rev = g.edge_events(Edge { src: NodeId(1), dst: NodeId(0) });
         let mut arena = DpArena::default();
-        merge_pair_events(&g, times, NodeId(0), NodeId(1), &mut arena);
+        merge_pair_events(times, fwd, rev, &mut arena);
         for delta in [0, 3, 25, 10_000] {
             let mut grouped = PairAcc::default();
             pair_window_dp::<true>(&arena.times, &arena.tags, &arena.bounds, delta, &mut grouped);

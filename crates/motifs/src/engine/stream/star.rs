@@ -41,7 +41,7 @@
 //! add.
 
 use super::arena::{expiry_cut, DenseGroups, DpArena, GroupMap, SealedGroups};
-use super::star_signature;
+use super::{fan_out, star_signature, SweepStats};
 use crate::count::MotifCounts;
 use tnm_graph::{NodeId, TemporalGraph, Time};
 
@@ -123,48 +123,109 @@ fn center_sweeps<B: GroupMap>(
     (e12, e123, e23, e13)
 }
 
-/// Counts every 3-event, exactly-2-leaf star into `out`.
+/// Centers claimed per work-stealing step.
+const CENTER_CHUNK: usize = 4;
+
+/// One worker's state: its arena, its per-center scratch, its
+/// accumulator `A` and its tallies.
+struct CenterWorker<A> {
+    arena: DpArena,
+    scratch: CenterScratch,
+    acc: A,
+    stats: SweepStats,
+}
+
+/// Fans the centers with at least `min_events` incident events out over
+/// `threads` workers, calling `sweep` once per loaded center (the
+/// arena's group boundaries sealed iff the log has timestamp ties), and
+/// returns the workers. Parallel runs claim centers highest degree
+/// first, so the heaviest sweeps start early and the tail balances.
+fn for_each_center<A, F>(
+    graph: &TemporalGraph,
+    threads: usize,
+    min_events: usize,
+    sweep: F,
+) -> Vec<CenterWorker<A>>
+where
+    A: Default + Send,
+    F: Fn(&mut CenterScratch, &DpArena, bool, &mut A) + Sync,
+{
+    let n = graph.num_nodes();
+    let tie_free = !graph.columns().has_time_ties();
+    let order: Option<Vec<u32>> = (threads > 1).then(|| {
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_unstable_by_key(|&c| std::cmp::Reverse(graph.node_degree(NodeId(c))));
+        order
+    });
+    let make = || CenterWorker {
+        arena: DpArena::default(),
+        scratch: CenterScratch::new(n as usize),
+        acc: A::default(),
+        stats: SweepStats::default(),
+    };
+    fan_out(threads, n as usize, CENTER_CHUNK, make, |w, range| {
+        for i in range {
+            let c = order.as_ref().map_or(i as u32, |o| o[i]);
+            load(graph, NodeId(c), &mut w.arena);
+            if w.arena.times.len() < min_events {
+                continue;
+            }
+            w.stats.record(0, w.arena.times.len());
+            if !tie_free {
+                w.arena.seal_groups();
+            }
+            sweep(&mut w.scratch, &w.arena, tie_free, &mut w.acc);
+        }
+    })
+}
+
+/// Sums the workers' tallies and records them.
+fn record_center_stats<A>(workers: &[CenterWorker<A>]) {
+    if tnm_obs::enabled() {
+        let mut stats = SweepStats::default();
+        for w in workers {
+            stats.absorb(&w.stats);
+        }
+        let reg = tnm_obs::global();
+        reg.counter("stream.star.centers_swept").add(stats.swept);
+        reg.gauge("stream.star.center_events").set(stats.peak);
+    }
+}
+
+/// Counts every 3-event, exactly-2-leaf star into `out`, the centers
+/// fanned out over `threads` workers.
 pub(crate) fn count_stars(
     graph: &TemporalGraph,
     delta: Time,
     out: &mut MotifCounts,
-    arena: &mut DpArena,
+    threads: usize,
 ) {
-    let mut scratch = CenterScratch::new(graph.num_nodes() as usize);
     // lone[pos][(d1 << 2) | (d2 << 1) | d3]: stars whose minority-leaf
     // event sits at `pos`, summed over all centers.
+    let workers =
+        for_each_center(graph, threads, 3, |scratch, arena, tie_free, lone: &mut [Triples; 3]| {
+            let (e12, e123, e23, e13) = if tie_free {
+                center_sweeps(scratch, arena, delta, &DenseGroups(arena.times.len()))
+            } else {
+                center_sweeps(scratch, arena, delta, &SealedGroups(&arena.bounds))
+            };
+            // Merge the per-center tables into the lone-position totals
+            // in one flat pass — one add per signature slot, no bit
+            // unpacking.
+            for s in 0..8 {
+                lone[2][s] += e12[s] - e123[s];
+                lone[0][s] += e23[s] - e123[s];
+                lone[1][s] += e13[s] - e123[s];
+            }
+        });
+    record_center_stats(&workers);
     let mut lone = [Triples::default(); 3];
-    let obs = tnm_obs::enabled();
-    let (mut centers_swept, mut peak_events) = (0u64, 0u64);
-    let tie_free = !graph.columns().has_time_ties();
-    for c in 0..graph.num_nodes() {
-        load(graph, NodeId(c), arena);
-        if arena.times.len() < 3 {
-            continue;
+    for w in &workers {
+        for (total, part) in lone.iter_mut().zip(&w.acc) {
+            for (s, &n) in total.iter_mut().zip(part) {
+                *s += n;
+            }
         }
-        if obs {
-            centers_swept += 1;
-            peak_events = peak_events.max(arena.times.len() as u64);
-        }
-        let (e12, e123, e23, e13) = if tie_free {
-            center_sweeps(&mut scratch, arena, delta, &DenseGroups(arena.times.len()))
-        } else {
-            arena.seal_groups();
-            let groups = SealedGroups(&arena.bounds);
-            center_sweeps(&mut scratch, arena, delta, &groups)
-        };
-        // Merge the per-center tables into the lone-position totals in
-        // one flat pass — one add per signature slot, no bit unpacking.
-        for s in 0..8 {
-            lone[2][s] += e12[s] - e123[s];
-            lone[0][s] += e23[s] - e123[s];
-            lone[1][s] += e13[s] - e123[s];
-        }
-    }
-    if obs {
-        let reg = tnm_obs::global();
-        reg.counter("stream.star.centers_swept").add(centers_swept);
-        reg.gauge("stream.star.center_events").set(peak_events);
     }
     // Leaf layout per lone position: the minority leaf is B, the pair
     // leaf A; canonicalization makes the naming immaterial.
@@ -180,40 +241,28 @@ pub(crate) fn count_stars(
 }
 
 /// Counts every 2-event wedge (two events sharing exactly the center)
-/// into `out`.
+/// into `out`, the centers fanned out over `threads` workers.
 pub(crate) fn count_wedges(
     graph: &TemporalGraph,
     delta: Time,
     out: &mut MotifCounts,
-    arena: &mut DpArena,
+    threads: usize,
 ) {
-    let mut scratch = CenterScratch::new(graph.num_nodes() as usize);
     // acc[(d1 << 1) | d2].
+    let workers =
+        for_each_center(graph, threads, 2, |scratch, arena, tie_free, acc: &mut [u64; 4]| {
+            if tie_free {
+                wedge_center_dp(scratch, arena, delta, &DenseGroups(arena.times.len()), acc);
+            } else {
+                wedge_center_dp(scratch, arena, delta, &SealedGroups(&arena.bounds), acc);
+            }
+        });
+    record_center_stats(&workers);
     let mut acc = [0u64; 4];
-    let obs = tnm_obs::enabled();
-    let (mut centers_swept, mut peak_events) = (0u64, 0u64);
-    let tie_free = !graph.columns().has_time_ties();
-    for c in 0..graph.num_nodes() {
-        load(graph, NodeId(c), arena);
-        if arena.times.len() < 2 {
-            continue;
+    for w in &workers {
+        for (s, &n) in acc.iter_mut().zip(&w.acc) {
+            *s += n;
         }
-        if obs {
-            centers_swept += 1;
-            peak_events = peak_events.max(arena.times.len() as u64);
-        }
-        if tie_free {
-            wedge_center_dp(&mut scratch, arena, delta, &DenseGroups(arena.times.len()), &mut acc);
-        } else {
-            arena.seal_groups();
-            let groups = SealedGroups(&arena.bounds);
-            wedge_center_dp(&mut scratch, arena, delta, &groups, &mut acc);
-        }
-    }
-    if obs {
-        let reg = tnm_obs::global();
-        reg.counter("stream.star.centers_swept").add(centers_swept);
-        reg.gauge("stream.star.center_events").set(peak_events);
     }
     for (slot, &n) in acc.iter().enumerate() {
         if n > 0 {
@@ -455,7 +504,7 @@ mod tests {
 
     fn stars(g: &TemporalGraph, delta: Time) -> MotifCounts {
         let mut c = MotifCounts::new();
-        count_stars(g, delta, &mut c, &mut DpArena::default());
+        count_stars(g, delta, &mut c, 1);
         c
     }
 
@@ -509,7 +558,7 @@ mod tests {
         // canonicalize to 01, 20 = "0120". A tie at t=1 contributes nothing.
         let g = graph(&[(0, 1, 1), (2, 0, 1), (2, 0, 3)]);
         let mut c = MotifCounts::new();
-        count_wedges(&g, 5, &mut c, &mut DpArena::default());
+        count_wedges(&g, 5, &mut c, 1);
         assert_eq!(c.get(sig("0120")), 1);
         assert_eq!(c.total(), 1);
     }

@@ -26,14 +26,17 @@
 //! combined footprint fits [`BLOCK_EVENT_BUDGET`], so the arena and DP
 //! tables stay resident while the bulk of small triangles stream
 //! through, and the few giant lists are quarantined at the end instead
-//! of evicting the scratch mid-stream. Accumulation is commutative
-//! sums, so the reordering cannot change any count.
+//! of evicting the scratch mid-stream. The blocks are the parallel
+//! work items, claimed largest first so the tail balances.
+//! Accumulation is commutative sums, so neither the reordering nor the
+//! fan-out can change any count.
 
 // The DP tables are indexed by label/pair ids used across several
 // tables per loop body; iterator forms would obscure the recurrences.
 #![allow(clippy::needless_range_loop)]
 
 use super::arena::{expiry_cut, DenseGroups, DpArena, GroupMap, SealedGroups};
+use super::{fan_out, SweepStats};
 use crate::count::MotifCounts;
 use crate::notation::MotifSignature;
 use tnm_graph::static_proj::global_projection_cache;
@@ -48,25 +51,28 @@ const LABELS: usize = 6;
 /// comfortably L2-resident on the targeted cores.
 const BLOCK_EVENT_BUDGET: usize = 1 << 15;
 
-/// Counts every δ-window temporal triangle into `out`. The static
-/// projection comes from the shared
-/// [`global_projection_cache`], so a ΔW sweep over one graph builds it
-/// (and can re-list its triangles) once per graph instead of once per
-/// count.
+/// One worker's state: its arena, its label-triple accumulator and its
+/// tallies.
+struct TriadWorker {
+    arena: DpArena,
+    acc: [u64; LABELS * LABELS * LABELS],
+    stats: SweepStats,
+}
+
+/// Counts every δ-window temporal triangle into `out`, the triangle
+/// blocks fanned out over `threads` workers, largest block first. The
+/// static projection comes from the shared [`global_projection_cache`],
+/// so a ΔW sweep over one graph builds it (and can re-list its
+/// triangles) once per graph instead of once per count.
 pub(crate) fn count_triads(
     graph: &TemporalGraph,
     delta: Time,
     out: &mut MotifCounts,
-    arena: &mut DpArena,
+    threads: usize,
 ) {
     let proj = global_projection_cache().get_or_build(graph);
     let sig_table = label_triple_signatures();
     let combos = closing_combos();
-    // One flat accumulator over label triples, shared by all triangles:
-    // the signature of a label triple is triangle-independent.
-    let mut acc = [0u64; LABELS * LABELS * LABELS];
-    let obs = tnm_obs::enabled();
-    let (mut triangles_swept, mut groups_advanced, mut peak_window) = (0u64, 0u64, 0u64);
     let tie_free = !graph.columns().has_time_ties();
     // Gather work items with their merged-list footprint, then sort so
     // blocks hold triangles of similar size (see module docs).
@@ -75,49 +81,64 @@ pub(crate) fn count_triads(
         work.push((triangle_footprint(graph, nodes), nodes));
     });
     work.sort_unstable_by_key(|&(footprint, _)| footprint);
+    // Cut the sorted items into blocks; a block always advances (the
+    // first item is admitted even when it alone exceeds the budget).
+    let mut blocks: Vec<std::ops::Range<usize>> = Vec::new();
     let mut i = 0usize;
     while i < work.len() {
         let start = i;
         let mut block_events = 0usize;
-        // A block always advances (the first item is admitted even when
-        // it alone exceeds the budget).
         while i < work.len()
             && (i == start || block_events + work[i].0 as usize <= BLOCK_EVENT_BUDGET)
         {
             block_events += work[i].0 as usize;
             i += 1;
         }
-        // The block's largest footprint comes last (sorted order): one
-        // reserve covers every triangle in the block.
-        arena.times.reserve(work[i - 1].0 as usize);
-        arena.tags.reserve(work[i - 1].0 as usize);
-        for &(_, nodes) in &work[start..i] {
-            merge_triangle_events(graph, nodes, arena);
-            if tie_free {
-                let groups = DenseGroups(arena.times.len());
-                if obs {
-                    triangles_swept += 1;
-                    groups_advanced += groups.num_groups() as u64;
-                    peak_window = peak_window.max(arena.times.len() as u64);
+        blocks.push(start..i);
+    }
+    let make = || TriadWorker {
+        arena: DpArena::default(),
+        acc: [0; LABELS * LABELS * LABELS],
+        stats: SweepStats::default(),
+    };
+    // One block per claim, the largest (last) block first.
+    let workers = fan_out(threads, blocks.len(), 1, make, |w, claimed| {
+        for b in claimed {
+            let block = &work[blocks[blocks.len() - 1 - b].clone()];
+            // The block's largest footprint comes last (sorted order):
+            // one reserve covers every triangle in the block.
+            let largest = block.last().map_or(0, |&(f, _)| f as usize);
+            w.arena.times.reserve(largest);
+            w.arena.tags.reserve(largest);
+            for &(_, nodes) in block {
+                merge_triangle_events(graph, nodes, &mut w.arena);
+                let a = &mut w.arena;
+                if tie_free {
+                    let groups = DenseGroups(a.times.len());
+                    w.stats.record(groups.num_groups(), a.times.len());
+                    triangle_window_dp(&a.times, &a.tags, &groups, delta, &combos, &mut w.acc);
+                } else {
+                    a.seal_groups();
+                    w.stats.record(a.num_groups(), a.times.len());
+                    let groups = SealedGroups(&a.bounds);
+                    triangle_window_dp(&a.times, &a.tags, &groups, delta, &combos, &mut w.acc);
                 }
-                triangle_window_dp(&arena.times, &arena.tags, &groups, delta, &combos, &mut acc);
-            } else {
-                arena.seal_groups();
-                if obs {
-                    triangles_swept += 1;
-                    groups_advanced += arena.num_groups() as u64;
-                    peak_window = peak_window.max(arena.times.len() as u64);
-                }
-                let groups = SealedGroups(&arena.bounds);
-                triangle_window_dp(&arena.times, &arena.tags, &groups, delta, &combos, &mut acc);
             }
         }
+    });
+    let mut acc = [0u64; LABELS * LABELS * LABELS];
+    let mut stats = SweepStats::default();
+    for w in &workers {
+        for (s, &n) in acc.iter_mut().zip(&w.acc) {
+            *s += n;
+        }
+        stats.absorb(&w.stats);
     }
-    if obs {
+    if tnm_obs::enabled() {
         let reg = tnm_obs::global();
-        reg.counter("stream.triad.triangles_swept").add(triangles_swept);
-        reg.counter("stream.triad.groups_advanced").add(groups_advanced);
-        reg.gauge("stream.triad.window_events").set(peak_window);
+        reg.counter("stream.triad.triangles_swept").add(stats.swept);
+        reg.counter("stream.triad.groups_advanced").add(stats.groups);
+        reg.gauge("stream.triad.window_events").set(stats.peak);
     }
     for (slot, &n) in acc.iter().enumerate() {
         if n > 0 {
@@ -290,7 +311,7 @@ mod tests {
 
     fn triads(g: &TemporalGraph, delta: Time) -> MotifCounts {
         let mut c = MotifCounts::new();
-        count_triads(g, delta, &mut c, &mut DpArena::default());
+        count_triads(g, delta, &mut c, 1);
         c
     }
 

@@ -18,7 +18,9 @@
 //!   every eligible Paranjape configuration, equal-timestamp tie sweeps
 //!   included, plus its fall-back on ineligible configurations
 //!   ([`stream_fast_path_matches_walkers`],
-//!   [`stream_rejects_ineligible_and_falls_back`]);
+//!   [`stream_rejects_ineligible_and_falls_back`]) — at 1, 2, 3 and 8
+//!   threads, directly and through batch stream groups
+//!   ([`batch_stream_groups_agree_across_thread_budgets`]);
 //! * the data-oriented hot paths' worst cases — tie-saturated graphs
 //!   whose merged lists are all multi-event timestamp groups, and
 //!   duration-heavy graphs with duplicate timestamps
@@ -34,9 +36,21 @@ use rand::{Rng, SeedableRng};
 use temporal_motifs::prelude::*;
 use tnm_datasets::{generate, DatasetSpec};
 use tnm_motifs::engine::{
-    BacktrackEngine, CountEngine, DistributedEngine, EngineKind, ParallelEngine, ShardedEngine,
-    StreamEngine, WindowedEngine,
+    BacktrackEngine, BatchPlanner, CountEngine, DistributedEngine, EngineKind, ParallelConfig,
+    ParallelEngine, ShardedEngine, StreamEngine, WindowedEngine, SERIAL_FALLBACK_EVENTS,
 };
+
+/// Thread budgets the stream fan-out is checked at.
+const STREAM_THREADS: [usize; 4] = [1, 2, 3, 8];
+
+/// The stream engine at `threads` workers with the serial fallback off,
+/// so even the suite's small graphs fan out.
+fn stream_at(threads: usize) -> StreamEngine {
+    StreamEngine::with_config(ParallelConfig {
+        serial_fallback_events: 0,
+        ..ParallelConfig::new(threads)
+    })
+}
 
 /// Every engine under test. The work-stealing executor appears twice —
 /// over the windowed index and over the plain node index — so scheduler
@@ -45,10 +59,12 @@ use tnm_motifs::engine::{
 /// the suite's small graphs still split into many shards, with cuts
 /// landing inside motif spans — and, for the distributed engine, every
 /// shard actually crossing a process boundary. The stream engine joins
-/// every sweep: on eligible configurations it exercises the
-/// count-without-enumerating DPs, on the rest its windowed fallback.
+/// every sweep, once per thread budget in [`STREAM_THREADS`]: on
+/// eligible configurations it exercises the count-without-enumerating
+/// DPs (fanned out even on these small graphs), on the rest its
+/// windowed fallback.
 fn engines() -> Vec<Box<dyn CountEngine>> {
-    vec![
+    let mut engines: Vec<Box<dyn CountEngine>> = vec![
         Box::new(BacktrackEngine),
         Box::new(WindowedEngine),
         Box::new(ParallelEngine::new(4)),
@@ -57,7 +73,9 @@ fn engines() -> Vec<Box<dyn CountEngine>> {
         Box::new(ShardedEngine::new(25).with_threads(3)),
         Box::new(StreamEngine),
         Box::new(DistributedEngine::new(2).with_shard_events(20)),
-    ]
+    ];
+    engines.extend(STREAM_THREADS.map(|t| Box::new(stream_at(t)) as Box<dyn CountEngine>));
+    engines
 }
 
 fn assert_all_engines_agree(graph: &TemporalGraph, cfg: &EnumConfig, label: &str) {
@@ -252,11 +270,7 @@ fn stream_fast_path_matches_walkers() {
                 let model = tnm_motifs::models::paranjape::without_inducedness(delta);
                 let cfg = EnumConfig::for_model(&model, k, 3);
                 assert!(StreamEngine::eligible(&cfg), "{name} k={k} ΔW={delta}");
-                assert_eq!(
-                    StreamEngine.count(&g, &cfg),
-                    WindowedEngine.count(&g, &cfg),
-                    "{name}, k={k}, ΔW={delta}"
-                );
+                assert_stream_threads_agree(&g, &cfg, &format!("{name}, k={k}, ΔW={delta}"));
             }
         }
         // Node-bound and targeting variants on one window.
@@ -272,11 +286,7 @@ fn stream_fast_path_matches_walkers() {
             EnumConfig::for_signature(sig("0110")).with_timing(Timing::only_w(900)),
         ] {
             assert!(StreamEngine::eligible(&cfg), "{name}: {cfg:?}");
-            assert_eq!(
-                StreamEngine.count(&g, &cfg),
-                WindowedEngine.count(&g, &cfg),
-                "{name}, variant {cfg:?}"
-            );
+            assert_stream_threads_agree(&g, &cfg, &format!("{name}, variant {cfg:?}"));
         }
     }
     // Adversarial equal-timestamp sweep: horizon ≪ events, so nearly
@@ -288,11 +298,64 @@ fn stream_fast_path_matches_walkers() {
         for k in [2usize, 3] {
             for delta in [0i64, 1, 3, horizon] {
                 let cfg = EnumConfig::new(k, 3).with_timing(Timing::only_w(delta));
-                assert_eq!(
-                    StreamEngine.count(&g, &cfg),
-                    WindowedEngine.count(&g, &cfg),
-                    "ties seed={seed}, k={k}, ΔW={delta}"
+                assert_stream_threads_agree(
+                    &g,
+                    &cfg,
+                    &format!("ties seed={seed}, k={k}, ΔW={delta}"),
                 );
+            }
+        }
+    }
+}
+
+/// The stream engine at every budget in [`STREAM_THREADS`] (fan-out
+/// forced) and at its default serial fallback must count bit-identically
+/// to the serial stream engine and to the windowed walker.
+fn assert_stream_threads_agree(g: &TemporalGraph, cfg: &EnumConfig, label: &str) {
+    let serial = StreamEngine.count(g, cfg);
+    assert_eq!(serial, WindowedEngine.count(g, cfg), "{label}: serial stream vs windowed");
+    for threads in STREAM_THREADS {
+        assert_eq!(stream_at(threads).count(g, cfg), serial, "{label}: {threads} threads");
+        assert_eq!(StreamEngine::new(threads).count(g, cfg), serial, "{label}: new({threads})");
+    }
+}
+
+/// Batch stream groups share one spectrum pass per (ΔW, events) bucket;
+/// that pass fans out over the batch's thread budget, and every
+/// member's counts must stay bit-identical to its solo serial count —
+/// on generator corpora above the serial fallback (so the fan-out runs)
+/// and on a tie-saturated graph below it.
+#[test]
+fn batch_stream_groups_agree_across_thread_budgets() {
+    let mut graphs: Vec<(String, TemporalGraph)> = Vec::new();
+    for name in ["CollegeMsg", "SMS-A"] {
+        let mut spec = DatasetSpec::by_name(name).expect("known dataset");
+        spec.num_events = 2_000;
+        let g = generate(&spec, 21);
+        assert!(g.num_events() >= SERIAL_FALLBACK_EVENTS, "{name} must fan out");
+        graphs.push((name.to_string(), g));
+    }
+    graphs.push(("tie-saturated".to_string(), random_graph(950, 7, 140, 12)));
+    for (name, g) in &graphs {
+        let quarter = (g.timespan() / 4).max(1);
+        let mut cfgs = Vec::new();
+        for delta in [2, 900, quarter] {
+            for k in 1..=3 {
+                cfgs.push(EnumConfig::new(k, 3).with_timing(Timing::only_w(delta)));
+            }
+            cfgs.push(EnumConfig::new(3, 3).exact_nodes(2).with_timing(Timing::only_w(delta)));
+            cfgs.push(EnumConfig::for_signature(sig("011202")).with_timing(Timing::only_w(delta)));
+            cfgs.push(EnumConfig::for_signature(sig("010102")).with_timing(Timing::only_w(delta)));
+        }
+        let solo: Vec<MotifCounts> = cfgs.iter().map(|c| StreamEngine.count(g, c)).collect();
+        for threads in STREAM_THREADS {
+            for kind in [EngineKind::Stream, EngineKind::Auto] {
+                let plan = BatchPlanner::plan(g, &cfgs, kind, threads);
+                assert!(plan.describe().contains("stream"), "{name}: {}", plan.describe());
+                let got = plan.execute(g, &cfgs, threads);
+                for (i, (got, want)) in got.iter().zip(&solo).enumerate() {
+                    assert_eq!(got, want, "{name}: {kind} batch, {threads} threads, config #{i}");
+                }
             }
         }
     }

@@ -12,6 +12,10 @@
 //!   multi-engine pass leaves the global registry empty and the span
 //!   collector empty; the disabled path is one branch, not a
 //!   "record-but-hide".
+//! * **Stream tallies do not depend on the thread budget** — the
+//!   `stream.*` counters and gauges a fanned-out pass records equal
+//!   the serial pass's, since workers' tallies are summed (maxed for
+//!   gauges) after join.
 //! * **Enabled runs land on the documented names** — the
 //!   `engine.*` / `cache.*` counter names in the engine module docs
 //!   are a wire-adjacent contract (dashboards key off them), so a
@@ -117,4 +121,41 @@ fn enabled_windowed_run_lands_on_the_documented_names() {
         "the windowed engine goes through the index cache: {:?}",
         snap.counters
     );
+}
+
+#[test]
+fn stream_counters_are_equal_across_thread_counts() {
+    let _guard = tnm_obs::test_guard();
+    let g = corpus();
+    assert!(g.num_events() >= tnm_motifs::engine::SERIAL_FALLBACK_EVENTS, "the fan-out must run");
+    let cfgs = [
+        EnumConfig::new(3, 3).with_timing(Timing::only_w(3_000)),
+        EnumConfig::new(2, 3).with_timing(Timing::only_w(3_000)),
+    ];
+    let stream_metrics = |threads: usize| {
+        tnm_obs::set_enabled(true);
+        tnm_obs::global().reset();
+        let counts: Vec<_> =
+            cfgs.iter().map(|cfg| StreamEngine::new(threads).count(&g, cfg)).collect();
+        let snap = tnm_obs::global().snapshot();
+        tnm_obs::drain_spans();
+        tnm_obs::set_enabled(false);
+        tnm_obs::global().reset();
+        let counters: Vec<(String, u64)> =
+            snap.counters.into_iter().filter(|(k, _)| k.starts_with("stream.")).collect();
+        let gauges: Vec<_> =
+            snap.gauges.into_iter().filter(|(k, _)| k.starts_with("stream.")).collect();
+        (counts, counters, gauges)
+    };
+    let serial = stream_metrics(1);
+    for family in ["stream.pair.", "stream.star.", "stream.triad."] {
+        assert!(
+            serial.1.iter().any(|(k, n)| k.starts_with(family) && *n > 0),
+            "{family}* must be recorded: {:?}",
+            serial.1
+        );
+    }
+    for threads in [2, 3, 8] {
+        assert_eq!(stream_metrics(threads), serial, "{threads} threads");
+    }
 }
