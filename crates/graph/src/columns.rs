@@ -33,6 +33,7 @@ pub struct EventColumns {
     dsts: Vec<u32>,
     durations: Vec<u32>,
     has_time_ties: bool,
+    has_durations: bool,
 }
 
 impl EventColumns {
@@ -44,14 +45,18 @@ impl EventColumns {
             dsts: Vec::with_capacity(events.len()),
             durations: Vec::with_capacity(events.len()),
             has_time_ties: false,
+            has_durations: false,
         };
+        let mut any_duration = 0u32;
         for e in events {
             cols.times.push(e.time);
             cols.srcs.push(e.src.0);
             cols.dsts.push(e.dst.0);
             cols.durations.push(e.duration);
+            any_duration |= e.duration;
         }
         cols.has_time_ties = cols.times.windows(2).any(|w| w[0] == w[1]);
+        cols.has_durations = any_duration != 0;
         cols
     }
 
@@ -98,6 +103,16 @@ impl EventColumns {
     #[inline]
     pub fn has_time_ties(&self) -> bool {
         self.has_time_ties
+    }
+
+    /// True when at least one event has a non-zero duration. On a
+    /// duration-free log every event ends where it starts, so
+    /// duration-aware ΔC gaps equal plain ones and the batch planner
+    /// may share one walk between duration-aware and plain configs.
+    /// Folded into the same build pass as the columns themselves.
+    #[inline]
+    pub fn has_durations(&self) -> bool {
+        self.has_durations
     }
 
     /// Index of the first event with `time >= t` (binary search over
@@ -172,5 +187,16 @@ mod tests {
         let tied =
             vec![Event::new(0u32, 1u32, 3), Event::new(1u32, 2u32, 7), Event::new(2u32, 0u32, 7)];
         assert!(EventColumns::build(&tied).has_time_ties());
+    }
+
+    #[test]
+    fn duration_detection() {
+        assert!(EventColumns::build(&sample()).has_durations());
+        let plain: Vec<Event> =
+            sample().into_iter().map(|e| Event::new(e.src, e.dst, e.time)).collect();
+        assert!(!EventColumns::build(&plain).has_durations());
+        assert!(!EventColumns::build(&[]).has_durations());
+        let one = vec![Event::new(0u32, 1u32, 3), Event::with_duration(1u32, 2u32, 7, 1)];
+        assert!(EventColumns::build(&one).has_durations());
     }
 }

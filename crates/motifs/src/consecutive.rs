@@ -5,6 +5,19 @@
 //! motif it may not participate in any outside event. The paper calls
 //! this *node-based temporal inducedness*; Section 5.1.1 shows it removes
 //! over 95 % of 3n3e motifs and amplifies ask-reply shapes.
+//!
+//! [`consecutive_ok`] is the rule as a predicate on a finished instance
+//! (what the Figure 1 checker and the oracle use). The counting walker
+//! enforces the same rule **while walking**
+//! ([`crate::engine::walker`]): a motif grows only along each node's
+//! next event, and each push checks that the new event's endpoints have
+//! no foreign event since their last motif event (none at all at the
+//! event's own time for a node new to the motif). That is exact because
+//! the rule is prefix-monotone: a node's span only grows as events are
+//! added, so a foreign event inside a prefix's span stays inside every
+//! extension's span, and the per-push checks compose to exactly this
+//! predicate — each node's `[first_x, last_x]` splits into the instants
+//! of its motif events and the gaps between them.
 
 use tnm_graph::{EventIdx, NodeId, TemporalGraph, Time};
 

@@ -13,16 +13,24 @@
 //!   *instance* and compared against each structurally accepted
 //!   member's bounds. When no member's timing is tighter than the
 //!   walk's, the walk bound already proved admissibility and the scan
-//!   is skipped entirely.
+//!   is skipped entirely;
+//! * an **inducedness** part for members with `static_induced` — a
+//!   property of the instance's event set alone, so it is checked at
+//!   most once per instance, lazily, and only when some induced member
+//!   survived its timing check.
 //!
-//! The restriction flags (consecutive/induced/constrained/duration) are
-//! group-key equal, so the shared walker applies them exactly as each
-//! member's own walk would. The parallel driver reuses the
-//! work-stealing executor with a per-worker `(accumulator, walker)`
-//! pair — the same shape as [`work_steal_count`]
-//! (crate::engine::parallel) — and merges per-slot tables after join
-//! (u64 additions commute, so scheduling never leaks into results).
+//! The remaining restriction flags (consecutive/constrained, and
+//! duration-awareness on graphs with durations) are group-key equal, so
+//! the shared walker applies them exactly as each member's own walk
+//! would. Tallies are dense: each distinct signature gets a slot on
+//! first sight, and counts go into a flat `slot × member` `u64` table
+//! that becomes per-member [`MotifCounts`] once, at merge. The parallel
+//! driver reuses the work-stealing executor with a per-worker
+//! `(accumulator, walker)` pair — the same shape as [`work_steal_count`]
+//! (crate::engine::parallel) — and merges the per-worker tables after
+//! join (u64 additions commute, so scheduling never leaks into results).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::count::MotifCounts;
@@ -31,6 +39,7 @@ use crate::engine::parallel::{work_steal_map, DEFAULT_STEAL_CHUNK};
 use crate::engine::walker::{
     CandidateSource, NodeListCandidates, PrefixFilter, Walker, WindowedCandidates,
 };
+use crate::induced::static_induced_ok;
 use crate::notation::MotifSignature;
 use tnm_graph::index_cache::global_index_cache;
 use tnm_graph::{TemporalGraph, Time};
@@ -46,6 +55,7 @@ struct MemberMask {
     delta_c: Time,
     delta_w: Time,
     target: Option<MotifSignature>,
+    induced: bool,
 }
 
 fn masks_of(cfgs: &[EnumConfig], members: &[usize]) -> Vec<MemberMask> {
@@ -60,6 +70,7 @@ fn masks_of(cfgs: &[EnumConfig], members: &[usize]) -> Vec<MemberMask> {
                 delta_c: c.timing.delta_c.unwrap_or(Time::MAX),
                 delta_w: c.timing.delta_w.unwrap_or(Time::MAX),
                 target: c.signature_filter,
+                induced: c.static_induced,
             }
         })
         .collect()
@@ -100,18 +111,76 @@ fn timing_of(
     (last_t - first.time, max_gap)
 }
 
-/// Per-worker accumulator: one count table per member plus the lazy
-/// per-signature structural acceptance cache.
+/// The members structurally accepting `sig`, in member order.
+fn accepting(masks: &[MemberMask], sig: MotifSignature) -> Vec<u32> {
+    masks.iter().enumerate().filter(|(_, m)| structural_ok(m, sig)).map(|(i, _)| i as u32).collect()
+}
+
+/// Per-instance admission for one group: the instance's timing and
+/// inducedness, each computed at most once and only when a member
+/// needs it.
+struct Admission<'a> {
+    graph: &'a TemporalGraph,
+    events: &'a [tnm_graph::EventIdx],
+    timing: Option<(Time, Time)>,
+    induced: Option<bool>,
+}
+
+impl<'a> Admission<'a> {
+    fn new(
+        graph: &'a TemporalGraph,
+        inst: &'a MotifInstance<'_>,
+        check_timing: bool,
+        duration_aware: bool,
+    ) -> Self {
+        let timing = check_timing.then(|| timing_of(graph, inst.events, duration_aware));
+        Admission { graph, events: inst.events, timing, induced: None }
+    }
+
+    /// Whether `mask`'s member keeps the instance (its structural test
+    /// already passed).
+    fn admits(&mut self, mask: &MemberMask) -> bool {
+        if let Some((span, max_gap)) = self.timing {
+            if max_gap > mask.delta_c || span > mask.delta_w {
+                return false;
+            }
+        }
+        !mask.induced
+            || *self.induced.get_or_insert_with(|| static_induced_ok(self.graph, self.events))
+    }
+}
+
+/// Per-worker accumulator: a dense `slot × member` count table plus the
+/// lazy per-signature cache mapping each signature to its slot and the
+/// members that structurally accept it. Only a signature some member
+/// accepts gets a slot (a row of `counts`); a rejected one is cached
+/// with no members and never touches the table.
 struct GroupAcc {
-    counts: Vec<MotifCounts>,
-    accept: HashMap<MotifSignature, Vec<u32>>,
+    n_members: usize,
+    accept: HashMap<MotifSignature, (u32, Vec<u32>)>,
+    counts: Vec<u64>,
 }
 
 impl GroupAcc {
     fn new(n_members: usize) -> Self {
-        GroupAcc {
-            counts: (0..n_members).map(|_| MotifCounts::new()).collect(),
-            accept: HashMap::new(),
+        GroupAcc { n_members, accept: HashMap::new(), counts: Vec::new() }
+    }
+
+    /// Adds the table into each member's count table `out[mask.slot]`
+    /// (non-zero entries only, as per-instance `MotifCounts::add` calls
+    /// would have left them).
+    fn merge_into(&self, masks: &[MemberMask], out: &mut [MotifCounts]) {
+        for (&sig, (slot, accepted)) in &self.accept {
+            if accepted.is_empty() {
+                continue;
+            }
+            let row = &self.counts[*slot as usize * self.n_members..][..self.n_members];
+            for &mi in accepted {
+                let n = row[mi as usize];
+                if n > 0 {
+                    out[masks[mi as usize].slot].add(sig, n);
+                }
+            }
         }
     }
 }
@@ -124,29 +193,26 @@ fn tally(
     acc: &mut GroupAcc,
     inst: &MotifInstance<'_>,
 ) {
-    let sig = inst.signature;
-    let accepted = acc.accept.entry(sig).or_insert_with(|| {
-        masks
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| structural_ok(m, sig))
-            .map(|(i, _)| i as u32)
-            .collect()
-    });
+    let n_members = acc.n_members;
+    let (slot, accepted) = match acc.accept.entry(inst.signature) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => {
+            let accepted = accepting(masks, inst.signature);
+            let slot = (acc.counts.len() / n_members) as u32;
+            if !accepted.is_empty() {
+                acc.counts.resize(acc.counts.len() + n_members, 0);
+            }
+            e.insert((slot, accepted))
+        }
+    };
     if accepted.is_empty() {
         return;
     }
-    if !check_timing {
-        for &mi in accepted.iter() {
-            acc.counts[mi as usize].add(sig, 1);
-        }
-        return;
-    }
-    let (span, max_gap) = timing_of(graph, inst.events, duration_aware);
+    let row = &mut acc.counts[*slot as usize * n_members..][..n_members];
+    let mut admission = Admission::new(graph, inst, check_timing, duration_aware);
     for &mi in accepted.iter() {
-        let m = &masks[mi as usize];
-        if max_gap <= m.delta_c && span <= m.delta_w {
-            acc.counts[mi as usize].add(sig, 1);
+        if admission.admits(&masks[mi as usize]) {
+            row[mi as usize] += 1;
         }
     }
 }
@@ -183,14 +249,14 @@ pub(super) fn count_walk_group(
     let prefix = prefix_targets
         .map(|t| PrefixFilter::new(t.iter(), walk_cfg.num_events).expect("planner validated"));
     let m = graph.num_events();
-    let merged: GroupAcc = match driver {
+    let accs: Vec<GroupAcc> = match driver {
         WalkDriver::SerialNodeList => {
             let mut acc = GroupAcc::new(masks.len());
             let mut walker = make_walker(graph, walk_cfg, prefix.as_ref(), NodeListCandidates);
             walker.run_range(0..m, |inst| {
                 tally(graph, &masks, duration_aware, check_timing, &mut acc, inst)
             });
-            acc
+            vec![acc]
         }
         WalkDriver::SerialWindowed => {
             let index = global_index_cache().get_or_build(graph);
@@ -200,7 +266,7 @@ pub(super) fn count_walk_group(
             walker.run_range(0..m, |inst| {
                 tally(graph, &masks, duration_aware, check_timing, &mut acc, inst)
             });
-            acc
+            vec![acc]
         }
         WalkDriver::Parallel => {
             let index = global_index_cache().get_or_build(graph);
@@ -226,17 +292,11 @@ pub(super) fn count_walk_group(
                     });
                 },
             );
-            let mut merged = GroupAcc::new(masks.len());
-            for (local, _walker) in &locals {
-                for (slot, counts) in local.counts.iter().enumerate() {
-                    merged.counts[slot].merge(counts);
-                }
-            }
-            merged
+            locals.into_iter().map(|(acc, _walker)| acc).collect()
         }
     };
-    for (pos, mask) in masks.iter().enumerate() {
-        out[mask.slot].merge(&merged.counts[pos]);
+    for acc in &accs {
+        acc.merge_into(&masks, out);
     }
 }
 
@@ -261,28 +321,17 @@ pub(super) fn enumerate_walk_group<F: FnMut(usize, &MotifInstance<'_>)>(
     let mut accept: HashMap<MotifSignature, Vec<u32>> = HashMap::new();
     let mut walker = make_walker(graph, walk_cfg, prefix.as_ref(), WindowedCandidates::new(&index));
     walker.run_range(0..graph.num_events(), |inst| {
-        let sig = inst.signature;
-        let accepted = accept.entry(sig).or_insert_with(|| {
-            masks
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| structural_ok(m, sig))
-                .map(|(i, _)| i as u32)
-                .collect()
-        });
+        let accepted =
+            accept.entry(inst.signature).or_insert_with(|| accepting(&masks, inst.signature));
         if accepted.is_empty() {
             return;
         }
-        let timing =
-            if check_timing { Some(timing_of(graph, inst.events, duration_aware)) } else { None };
+        let mut admission = Admission::new(graph, inst, check_timing, duration_aware);
         for &mi in accepted.iter() {
             let m = &masks[mi as usize];
-            if let Some((span, max_gap)) = timing {
-                if max_gap > m.delta_c || span > m.delta_w {
-                    continue;
-                }
+            if admission.admits(m) {
+                callback(m.slot, inst);
             }
-            callback(m.slot, inst);
         }
     });
 }

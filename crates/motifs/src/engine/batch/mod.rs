@@ -17,18 +17,34 @@
 //!   the pair/star/triad tables.
 //!
 //! [`BatchPlanner`] exploits both: it groups configs by shared walk
-//! shape (identical restriction flags, event budget, and node budget —
-//! the parts that change *which* sequences a walk may extend or emit)
-//! and answers each group in **one traversal**, demoting the per-config
-//! differences to emission-time masks:
+//! shape and answers each group in **one traversal**, demoting the
+//! per-config differences to emission-time masks. The walk shape — the
+//! group key — is what changes *which* sequences a walk may extend:
+//! event budget, node budget, the consecutive-events and constrained
+//! flags, and duration awareness **only when the graph has a non-zero
+//! duration** ([`tnm_graph::EventColumns::has_durations`]); on a
+//! duration-free graph every event ends where it starts, so
+//! duration-aware gaps equal plain ones and the flag collapses out of
+//! the key. Everything else is a per-member mask:
 //!
 //! * members' ΔC/ΔW windows → once-per-instance span / max-gap checks
 //!   against the group walk's component-wise widest timing;
 //! * members' `min_nodes` / signature targets → a per-signature
 //!   acceptance set, computed lazily once per distinct signature;
+//! * members' static inducedness → a check of the instance's event set,
+//!   run at most once per instance and only when an induced member
+//!   passed its timing check (inducedness never steers a walk, it only
+//!   judges finished instances);
 //! * when *every* member targets a signature, the shared walk prunes to
 //!   the union of their pair prefixes via
 //!   [`PrefixFilter`](crate::engine::walker::PrefixFilter).
+//!
+//! So the paper's four-model sweep (§5: Kovanen, Song, Hulovatyy and
+//! Paranjape over the ΔC/ΔW ratios) on a duration-free graph costs one
+//! consecutive-events walk for Kovanen, one stream pass for the
+//! ΔW-only Song config, and **one** shared walk for the other eight
+//! configs; [`BatchPlan::describe`] names each walk's flags and masks
+//! (`walk(parallel) ΔW=3000s ×8, induced ×6 of 8`).
 //!
 //! Stream-eligible ΔW-only configs group by `(ΔW, num_events)` instead
 //! and share a single [`StreamEngine::spectrum`] DP pass, each member's
@@ -64,7 +80,10 @@ use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::engine::stream::StreamEngine;
 use crate::engine::walker::PrefixFilter;
-use crate::engine::{auto_select, EngineKind};
+use crate::engine::{
+    auto_select, explain_auto_select, EngineKind, PARALLEL_MIN_WINDOW_EVENTS,
+    SERIAL_FALLBACK_EVENTS,
+};
 use crate::notation::MotifSignature;
 use tnm_graph::{TemporalGraph, Time};
 
@@ -168,6 +187,9 @@ enum GroupExec {
 pub struct BatchPlan {
     groups: Vec<PlanGroup>,
     n_configs: usize,
+    /// Each config's `static_induced` flag, so [`describe`](Self::describe)
+    /// can count a walk group's inducedness masks.
+    induced: Vec<bool>,
 }
 
 impl BatchPlan {
@@ -199,11 +221,26 @@ impl BatchPlan {
                         WalkDriver::SerialWindowed => "windowed",
                         WalkDriver::Parallel => "parallel",
                     };
-                    let pf = match prefix_targets {
-                        Some(t) => format!(" prefix[{}]", t.len()),
-                        None => String::new(),
-                    };
-                    format!("walk({d}) {}{pf} ×{}", walk_cfg.timing, g.members.len())
+                    let mut line = format!("walk({d}) {}", walk_cfg.timing);
+                    for (on, flag) in [
+                        (walk_cfg.consecutive_events, "consecutive"),
+                        (walk_cfg.constrained_dynamic, "constrained"),
+                        (walk_cfg.duration_aware, "duration-aware"),
+                    ] {
+                        if on {
+                            line.push(' ');
+                            line.push_str(flag);
+                        }
+                    }
+                    if let Some(t) = prefix_targets {
+                        line.push_str(&format!(" prefix[{}]", t.len()));
+                    }
+                    line.push_str(&format!(" ×{}", g.members.len()));
+                    let induced = g.members.iter().filter(|&&i| self.induced[i]).count();
+                    if induced > 0 {
+                        line.push_str(&format!(", induced ×{induced} of {}", g.members.len()));
+                    }
+                    line
                 }
                 GroupExec::Solo { kind } => format!("solo({kind}) ×{}", g.members.len()),
             })
@@ -260,25 +297,32 @@ impl BatchPlan {
 /// Walk-shape key: the config parts that change which sequences the
 /// walk may extend or emit, rather than merely which instances a member
 /// keeps. Configs must match on all of these to share a traversal.
+///
+/// Static inducedness is not part of the key: it judges a finished
+/// instance's event set and never steers the walk, so it is a
+/// per-member mask (checked once per instance, lazily). Duration
+/// awareness only moves the walk's ΔC bound when some event has a
+/// non-zero duration, so on a duration-free graph it is dropped from
+/// the key and duration-aware configs share the plain walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct GroupKey {
     num_events: usize,
     max_nodes: usize,
     consecutive_events: bool,
-    static_induced: bool,
     constrained_dynamic: bool,
     duration_aware: bool,
 }
 
 impl GroupKey {
-    fn of(cfg: &EnumConfig) -> Self {
+    fn of(graph: &TemporalGraph, cfg: &EnumConfig) -> Self {
         GroupKey {
             num_events: cfg.num_events,
             max_nodes: cfg.max_nodes,
             consecutive_events: cfg.consecutive_events,
-            static_induced: cfg.static_induced,
             constrained_dynamic: cfg.constrained_dynamic,
-            duration_aware: cfg.duration_aware,
+            // `has_durations` is a flag computed with the graph's columns,
+            // and only read for duration-aware configs.
+            duration_aware: cfg.duration_aware && graph.columns().has_durations(),
         }
     }
 }
@@ -358,7 +402,7 @@ impl BatchPlanner {
                 }
                 continue;
             }
-            let key = GroupKey::of(cfg);
+            let key = GroupKey::of(graph, cfg);
             let unbounded = cfg.max_admissible_span().is_none();
             let mut placed = false;
             for bucket in walk_buckets.iter_mut() {
@@ -403,7 +447,6 @@ impl BatchPlanner {
             walk_cfg.min_nodes = min_nodes;
             walk_cfg.timing = merged;
             walk_cfg.consecutive_events = key.consecutive_events;
-            walk_cfg.static_induced = key.static_induced;
             walk_cfg.constrained_dynamic = key.constrained_dynamic;
             walk_cfg.duration_aware = key.duration_aware;
             // When every member targets a signature the shared walk can
@@ -418,7 +461,8 @@ impl BatchPlanner {
             groups[gi].exec = GroupExec::Walk { walk_cfg, driver, prefix_targets };
         }
 
-        BatchPlan { groups, n_configs: cfgs.len() }
+        let induced = cfgs.iter().map(|c| c.static_induced).collect();
+        BatchPlan { groups, n_configs: cfgs.len(), induced }
     }
 
     /// Picks the traversal driver for one walk group. Under `Auto` the
@@ -426,7 +470,13 @@ impl BatchPlanner {
     /// selections whose execution cannot share an in-process walk
     /// (sharded/distributed) degrade to the work-stealing in-memory
     /// walk — the graph is already resident, so the batch keeps the
-    /// amortization and only gives up the bounded working set.
+    /// amortization and only gives up the bounded working set. A
+    /// `Stream` verdict means the merged walk is ΔW-only and flag-free
+    /// while its members still need instances (a ΔC, an inducedness
+    /// mask): the walk runs anyway, and since rule 1 fires before rule
+    /// 5 is looked at, rule 5's own gates (enough events, enough
+    /// expected events per window) decide whether it takes the thread
+    /// budget.
     fn walk_driver(
         graph: &TemporalGraph,
         walk_cfg: &EnumConfig,
@@ -444,13 +494,22 @@ impl BatchPlanner {
             EngineKind::Backtrack => WalkDriver::SerialNodeList,
             EngineKind::Windowed | EngineKind::Stream => WalkDriver::SerialWindowed,
             EngineKind::Parallel => parallel_or_serial(threads),
-            EngineKind::Auto => match auto_select(graph, walk_cfg, threads) {
-                EngineKind::Backtrack => WalkDriver::SerialNodeList,
-                EngineKind::Parallel
-                | EngineKind::Sharded { .. }
-                | EngineKind::Distributed { .. } => parallel_or_serial(threads),
-                _ => WalkDriver::SerialWindowed,
-            },
+            EngineKind::Auto => {
+                let explained = explain_auto_select(graph, walk_cfg, threads);
+                match explained.chosen {
+                    EngineKind::Backtrack => WalkDriver::SerialNodeList,
+                    EngineKind::Parallel
+                    | EngineKind::Sharded { .. }
+                    | EngineKind::Distributed { .. } => parallel_or_serial(threads),
+                    EngineKind::Stream
+                        if explained.num_events >= SERIAL_FALLBACK_EVENTS
+                            && explained.expected_window_events >= PARALLEL_MIN_WINDOW_EVENTS =>
+                    {
+                        parallel_or_serial(threads)
+                    }
+                    _ => WalkDriver::SerialWindowed,
+                }
+            }
             EngineKind::Sharded { .. }
             | EngineKind::Distributed { .. }
             | EngineKind::Sampling { .. } => {

@@ -19,6 +19,20 @@
 //!   total-ordering rule), enforced by strict `>` on timestamps;
 //! * candidate events are drawn from the node set of the partial motif,
 //!   which is exactly the "grows as a single component" rule.
+//!
+//! Kovanen's consecutive-events rule is enforced **while walking**, not
+//! at emission, which is how Kovanen et al. define and enumerate their
+//! motifs: a motif may grow only along each of its nodes' *next* event.
+//! Under that rule each motif node `x` offers at most one candidate —
+//! `x`'s first event after its last motif event, when that event lies in
+//! `(t_last, bound]` — and a push is rejected unless every endpoint stays
+//! engaged only in motif events: `x`'s events in `[last_x, t]` must be
+//! exactly the two motif events for a known node, and a new node's
+//! events at `t` exactly the one (this is what catches timestamp ties).
+//! The rule is prefix-monotone — a foreign event inside a node's span
+//! stays inside it as the motif grows — so a rejected prefix has no
+//! admissible completion and pruning cannot change counts; the
+//! emission-time [`consecutive_ok`] check stays as a debug assertion.
 
 use crate::consecutive::{consecutive_ok, ConsecutiveScratch};
 use crate::constrained::constrained_ok;
@@ -46,6 +60,23 @@ pub trait CandidateSource {
         bound: Option<Time>,
         out: &mut Vec<EventIdx>,
     );
+
+    /// The first event adjacent to `node` with time in `(after, bound]`
+    /// (lowest event index among equal times), if any: the one
+    /// extension `node` can offer under the consecutive-events rule.
+    fn next_event(
+        &self,
+        graph: &TemporalGraph,
+        node: NodeId,
+        after: Time,
+        bound: Option<Time>,
+    ) -> Option<EventIdx>;
+}
+
+/// `Some(i)` when `t` is within the optional upper `bound`.
+#[inline]
+fn within(i: EventIdx, t: Time, bound: Option<Time>) -> Option<EventIdx> {
+    bound.is_none_or(|b| t <= b).then_some(i)
 }
 
 /// Candidate generation over [`TemporalGraph`]'s plain node index: one
@@ -81,6 +112,19 @@ impl CandidateSource for NodeListCandidates {
         }
         out.sort_unstable();
         out.dedup();
+    }
+
+    fn next_event(
+        &self,
+        graph: &TemporalGraph,
+        node: NodeId,
+        after: Time,
+        bound: Option<Time>,
+    ) -> Option<EventIdx> {
+        let times = graph.times();
+        let list = graph.node_events(node);
+        let &i = list.get(list.partition_point(|&i| times[i as usize] <= after))?;
+        within(i, times[i as usize], bound)
     }
 }
 
@@ -132,6 +176,18 @@ impl CandidateSource for WindowedCandidates<'_> {
             }
         }
         merge_sorted_runs(&mut runs[..k], out);
+    }
+
+    fn next_event(
+        &self,
+        _graph: &TemporalGraph,
+        node: NodeId,
+        after: Time,
+        bound: Option<Time>,
+    ) -> Option<EventIdx> {
+        let (ids, times) = self.index.node_slices(node);
+        let pos = self.index.first_after(node, after);
+        within(*ids.get(pos)?, times[pos], bound)
     }
 }
 
@@ -328,6 +384,12 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
         if self.digits.len() + new_needed > self.cfg.max_nodes {
             return None;
         }
+        if self.cfg.consecutive_events
+            && !(self.stays_consecutive(e.src, src_digit, e.time)
+                && self.stays_consecutive(e.dst, dst_digit, e.time))
+        {
+            return None;
+        }
         let depth = self.seq.len();
         let a = src_digit.unwrap_or_else(|| self.fresh_digit(e.src));
         let b = dst_digit.unwrap_or_else(|| self.fresh_digit(e.dst));
@@ -347,6 +409,46 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
         self.pairs.push((a, b));
         self.seq.push(idx);
         Some(added)
+    }
+
+    /// Time of the last motif event touching `digit`.
+    fn last_time_of(&self, digit: u8) -> Time {
+        let pos = self
+            .pairs
+            .iter()
+            .rposition(|&(a, b)| a == digit || b == digit)
+            .expect("every digit occurs in the motif");
+        self.graph.times()[self.seq[pos] as usize]
+    }
+
+    /// The consecutive-events push check for one endpoint of an event at
+    /// `t`: a known node's events in `[last, t]` must be exactly its last
+    /// motif event and this one; a new node's events at `t` exactly this
+    /// one. Together the checks at every push are the emission-time
+    /// [`consecutive_ok`] predicate, split along the motif's growth.
+    fn stays_consecutive(&self, node: NodeId, digit: Option<u8>, t: Time) -> bool {
+        match digit {
+            Some(d) => self.graph.count_node_events_between(node, self.last_time_of(d), t) == 2,
+            None => self.graph.count_node_events_between(node, t, t) == 1,
+        }
+    }
+
+    /// Consecutive-events candidates: each motif node's first event after
+    /// its own last motif event, kept when it is later than `t_last` (an
+    /// earlier one is a foreign event inside the node's span, so that
+    /// node can never extend the motif again) and within `bound`.
+    fn gather_consecutive(&self, t_last: Time, bound: Option<Time>, out: &mut Vec<EventIdx>) {
+        let times = self.graph.times();
+        for (d, &node) in self.digits.iter().enumerate() {
+            let after = self.last_time_of(d as u8);
+            if let Some(i) = self.source.next_event(self.graph, node, after, bound) {
+                if times[i as usize] > t_last {
+                    out.push(i);
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
     }
 
     fn pop(&mut self, added: usize) {
@@ -381,7 +483,11 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
         let depth = self.seq.len();
         let mut cands = std::mem::take(&mut self.cand_bufs[depth]);
         cands.clear();
-        self.source.gather(self.graph, &self.digits, t_last, bound, &mut cands);
+        if self.cfg.consecutive_events {
+            self.gather_consecutive(t_last, bound, &mut cands);
+        } else {
+            self.source.gather(self.graph, &self.digits, t_last, bound, &mut cands);
+        }
         debug_assert!(cands.windows(2).all(|w| w[0] < w[1]), "candidates sorted+deduped");
         let mut pos = 0;
         while pos < cands.len() {
@@ -404,10 +510,11 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
         if self.digits.len() < self.cfg.min_nodes {
             return;
         }
-        if self.cfg.consecutive_events && !consecutive_ok(self.graph, &self.seq, &mut self.scratch)
-        {
-            return;
-        }
+        debug_assert!(
+            !self.cfg.consecutive_events
+                || consecutive_ok(self.graph, &self.seq, &mut self.scratch),
+            "the consecutive-events rule is enforced while walking"
+        );
         if self.cfg.constrained_dynamic && !constrained_ok(self.graph, &self.seq) {
             return;
         }

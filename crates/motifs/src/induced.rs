@@ -85,7 +85,9 @@ pub fn induced_cover_ok(
                 continue;
             }
             let edge = Edge { src: a, dst: b };
-            if has_edge(edge) && !covered.contains(&edge) {
+            // The scan of the few covered edges is cheaper than the
+            // edge-set probe, so it goes first.
+            if !covered.contains(&edge) && has_edge(edge) {
                 return false;
             }
         }

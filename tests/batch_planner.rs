@@ -223,3 +223,122 @@ fn enumerate_batch_matches_per_config_enumeration() {
         assert_eq!(batched[i], expected, "config #{i} instance lists diverge");
     }
 }
+
+/// The paper's evaluation batch: Kovanen, Song, Hulovatyy and Paranjape
+/// at ΔC = ratio·ΔW for every 3-event ratio, 3 events on ≤ 3 nodes.
+fn four_model_sweep(delta_w: i64) -> Vec<EnumConfig> {
+    let mut batch = Vec::new();
+    for ratio in tnm_analysis::experiments::RATIOS_3E {
+        let timing = Timing::from_ratio(delta_w, ratio);
+        for model in MotifModel::all_four(timing.delta_c.unwrap_or(delta_w), delta_w) {
+            batch.push(EnumConfig::for_model(&model, 3, 3).with_timing(timing));
+        }
+    }
+    batch
+}
+
+/// Batch counts at 1, 2 and 3 threads equal solo counts (the windowed
+/// walker and the auto-selected engine), and `enumerate_batch` hands
+/// every config exactly its own instance list, in order.
+fn assert_sweep_matches_solo(graph: &TemporalGraph, batch: &[EnumConfig], label: &str) {
+    let solo: Vec<MotifCounts> =
+        batch.iter().map(|cfg| EngineKind::Windowed.count(graph, cfg, 1)).collect();
+    for threads in [1usize, 2, 3] {
+        for kind in [EngineKind::Auto, EngineKind::Windowed, EngineKind::Parallel] {
+            let got = kind.count_batch(graph, batch, threads);
+            for (i, cfg) in batch.iter().enumerate() {
+                assert_eq!(got[i], solo[i], "{label}: `{kind}` threads={threads} #{i} {cfg:?}");
+                assert_eq!(got[i], EngineKind::Auto.count(graph, cfg, threads), "{label}: #{i}");
+            }
+        }
+    }
+    let mut batched: Vec<Vec<Vec<u32>>> = vec![Vec::new(); batch.len()];
+    tnm_motifs::engine::enumerate_batch(graph, batch, |slot, inst| {
+        batched[slot].push(inst.events.to_vec());
+    });
+    for (i, cfg) in batch.iter().enumerate() {
+        let mut expected: Vec<Vec<u32>> = Vec::new();
+        enumerate_instances(graph, cfg, |inst| expected.push(inst.events.to_vec()));
+        assert_eq!(batched[i], expected, "{label}: config #{i} instance lists diverge");
+        assert_eq!(expected.len() as u64, solo[i].total(), "{label}: #{i}");
+    }
+}
+
+#[test]
+fn four_model_sweep_shares_one_walk_across_song_hulovatyy_and_paranjape() {
+    let delta_w = 60;
+    let batch = four_model_sweep(delta_w);
+    assert_eq!(batch.len(), 12);
+    // Dense enough (≈ 36 events per ΔW window) that auto sends the one
+    // ΔW-only, non-induced config — Song at ratio 1 — to the stream DP.
+    let g = random_graph(47, 10, 120, 200);
+    assert!(!g.columns().has_durations());
+    let plan = BatchPlanner::plan(&g, &batch, EngineKind::Auto, 2);
+    let text = plan.describe();
+    // Kovanen's consecutive walk, one stream pass, and one shared walk
+    // for the other eight: inducedness is a member mask, and duration
+    // awareness is moot on a duration-free graph. The graph is below
+    // the serial fallback, so the merged walk stays serial.
+    assert_eq!(plan.num_groups(), 3, "{text}");
+    assert!(text.contains(&format!("walk(windowed) ΔW={delta_w}s ×8, induced ×6 of 8")), "{text}");
+    assert!(text.contains("consecutive ×3"), "{text}");
+    assert!(text.contains("stream"), "{text}");
+    assert!(!text.contains("duration-aware"), "{text}");
+    assert_sweep_matches_solo(&g, &batch, "duration-free sweep");
+
+    // One non-zero duration keeps Hulovatyy's duration-aware ΔC in the
+    // walk shape: its three configs split into their own walk.
+    let mut events = g.events().to_vec();
+    let mid = events.len() / 2;
+    events[mid].duration = 7;
+    let g = TemporalGraph::from_events(events).expect("non-empty");
+    assert!(g.columns().has_durations());
+    let plan = BatchPlanner::plan(&g, &batch, EngineKind::Auto, 2);
+    let text = plan.describe();
+    assert_eq!(plan.num_groups(), 4, "{text}");
+    assert!(text.contains("duration-aware ×3, induced ×3 of 3"), "{text}");
+    assert_sweep_matches_solo(&g, &batch, "sweep with one duration");
+}
+
+#[test]
+fn merged_stream_shaped_walk_takes_the_thread_budget_only_past_the_serial_fallback() {
+    let delta_w = 60;
+    let batch = four_model_sweep(delta_w);
+    // Same density as above (≈ 36 events per ΔW window), but past the
+    // serial fallback: the merged ΔW-only walk gets the parallel driver
+    // at two threads and stays serial at one.
+    let g = random_graph(48, 40, 4000, 4000 * 200 / 120);
+    assert!(g.num_events() >= tnm_motifs::engine::SERIAL_FALLBACK_EVENTS);
+    let two = BatchPlanner::plan(&g, &batch, EngineKind::Auto, 2).describe();
+    assert!(two.contains(&format!("walk(parallel) ΔW={delta_w}s ×8, induced ×6 of 8")), "{two}");
+    let one = BatchPlanner::plan(&g, &batch, EngineKind::Auto, 1).describe();
+    assert!(one.contains(&format!("walk(windowed) ΔW={delta_w}s ×8, induced ×6 of 8")), "{one}");
+    // A needle window: too little work per start event to pay for the
+    // spawn, so the merged walk stays serial even with two threads.
+    let needle = four_model_sweep(1);
+    let sparse = BatchPlanner::plan(&g, &needle, EngineKind::Auto, 2).describe();
+    assert!(!sparse.contains("walk(parallel) ΔW=1s ×8"), "{sparse}");
+}
+
+/// A group whose members together reject some signatures the shared
+/// walk emits: a targeted member whose node floor sits below its
+/// signature's node count (so the walk's floor is lower than the
+/// untargeted member's), and an untargeted member with a higher node
+/// floor. Every 3-node instance of another signature is accepted by
+/// no member and must leave the tallies untouched.
+#[test]
+fn signatures_no_member_accepts_are_skipped() {
+    let sig: MotifSignature = "010102".parse().expect("valid signature");
+    let timing = Timing::both(20, 40);
+    let mut targeted = EnumConfig::for_signature(sig).with_timing(timing);
+    targeted.max_nodes = 4;
+    let mut four_nodes = EnumConfig::new(3, 4).with_timing(timing);
+    four_nodes.min_nodes = 4;
+    let batch = [targeted, four_nodes];
+    for case in 0u64..4 {
+        let g = random_graph(900 + case, 6 + case as u32, 120, 150);
+        let plan = BatchPlanner::plan(&g, &batch, EngineKind::Auto, 3);
+        assert_eq!(plan.num_groups(), 1, "{}", plan.describe());
+        assert_batch_matches(&g, &batch, &format!("rejected signatures, case {case}"));
+    }
+}

@@ -72,8 +72,10 @@ fn brute_force_counts(
 
 /// Random small graph mirroring the old proptest strategy: up to 14
 /// events on up to 6 nodes with timestamps in 0..60 (tie-rich on
-/// purpose). Returns `None` when every drawn pair was a self-loop.
-fn small_graph(rng: &mut StdRng) -> Option<TemporalGraph> {
+/// purpose), with durations drawn from `0..max_duration` (`0` keeps
+/// every duration zero and draws nothing extra). Returns `None` when
+/// every drawn pair was a self-loop.
+fn small_graph(rng: &mut StdRng, max_duration: u32) -> Option<TemporalGraph> {
     let len = rng.gen_range(3usize..14);
     let mut events = Vec::with_capacity(len);
     for _ in 0..len {
@@ -83,7 +85,11 @@ fn small_graph(rng: &mut StdRng) -> Option<TemporalGraph> {
             continue;
         }
         let t: i64 = rng.gen_range(0i64..60);
-        events.push(Event::new(u, v, t));
+        if max_duration == 0 {
+            events.push(Event::new(u, v, t));
+        } else {
+            events.push(Event::with_duration(u, v, t, rng.gen_range(0..max_duration)));
+        }
     }
     if events.is_empty() {
         return None;
@@ -92,10 +98,20 @@ fn small_graph(rng: &mut StdRng) -> Option<TemporalGraph> {
 }
 
 /// Runs `body` over `cases` deterministic random graphs.
-fn for_each_graph(test_seed: u64, cases: u64, mut body: impl FnMut(&mut StdRng, TemporalGraph)) {
+fn for_each_graph(test_seed: u64, cases: u64, body: impl FnMut(&mut StdRng, TemporalGraph)) {
+    for_each_graph_with(test_seed, cases, 0, body)
+}
+
+/// [`for_each_graph`] over graphs with durations in `0..max_duration`.
+fn for_each_graph_with(
+    test_seed: u64,
+    cases: u64,
+    max_duration: u32,
+    mut body: impl FnMut(&mut StdRng, TemporalGraph),
+) {
     for case in 0..cases {
         let mut rng = StdRng::seed_from_u64(test_seed * 10_000 + case);
-        if let Some(graph) = small_graph(&mut rng) {
+        if let Some(graph) = small_graph(&mut rng, max_duration) {
             body(&mut rng, graph);
         }
     }
@@ -115,38 +131,67 @@ fn models_under_test() -> Vec<MotifModel> {
     ]
 }
 
-/// The engine agrees with the brute-force oracle for every model,
-/// for 2- and 3-event motifs on up to 4 nodes.
+/// Asserts the engine's counts for `model` at `k` events on 2..=4
+/// nodes equal the brute-force oracle's, signature by signature.
+fn assert_matches_oracle(graph: &TemporalGraph, model: &MotifModel, k: usize) {
+    let mut cfg = EnumConfig::for_model(model, k, 4);
+    cfg.min_nodes = 2;
+    let engine = count_motifs(graph, &cfg);
+    let oracle = brute_force_counts(graph, model, k, 2, 4);
+    let oracle_total: u64 = oracle.values().sum();
+    assert_eq!(
+        engine.total(),
+        oracle_total,
+        "total mismatch for {} at k={k} on {} events",
+        model.name,
+        graph.num_events()
+    );
+    for (sig, n) in oracle {
+        assert_eq!(engine.get(sig), n, "count mismatch for {} signature {}", model.name, sig);
+    }
+}
+
+/// The engine agrees with the brute-force oracle for every model, for
+/// 2-, 3- and 4-event motifs on up to 4 nodes. At 4 events the walker
+/// makes three extension steps, so Kovanen's consecutive rule — pruned
+/// while walking, not checked at emission — is exercised at every
+/// depth it can prune.
 #[test]
 fn engine_matches_brute_force() {
-    for_each_graph(1, 24, |rng, graph| {
-        let k = rng.gen_range(2usize..=3);
-        for model in models_under_test() {
-            let mut cfg = EnumConfig::for_model(&model, k, 4);
-            // Hulovatyy's duration-aware gap equals the plain gap here
-            // (all durations are zero), so semantics match the oracle.
-            cfg.min_nodes = 2;
-            let engine = count_motifs(&graph, &cfg);
-            let oracle = brute_force_counts(&graph, &model, k, 2, 4);
-            let oracle_total: u64 = oracle.values().sum();
-            assert_eq!(
-                engine.total(),
-                oracle_total,
-                "total mismatch for {} on {} events",
-                model.name,
-                graph.num_events()
-            );
-            for (sig, n) in oracle {
-                assert_eq!(
-                    engine.get(sig),
-                    n,
-                    "count mismatch for {} signature {}",
-                    model.name,
-                    sig
-                );
+    for_each_graph(1, 24, |_, graph| {
+        // Hulovatyy's duration-aware gap equals the plain gap here (all
+        // durations are zero); `duration_aware_models_match_brute_force`
+        // covers the non-zero case.
+        assert!(!graph.columns().has_durations());
+        for k in 2..=4 {
+            for model in models_under_test() {
+                assert_matches_oracle(&graph, &model, k);
             }
         }
     });
+}
+
+/// With non-zero durations, Hulovatyy's duration-aware ΔC (gaps from the
+/// previous event's *end*) agrees with `validity::check_instance`, as do
+/// the duration-blind models on the same graphs.
+#[test]
+fn duration_aware_models_match_brute_force() {
+    let mut with_durations = 0;
+    for_each_graph_with(7, 32, 12, |_, graph| {
+        with_durations += graph.columns().has_durations() as usize;
+        for k in 2..=4 {
+            for model in [
+                MotifModel::hulovatyy(4),
+                MotifModel::hulovatyy(10),
+                MotifModel::hulovatyy_constrained(6),
+                MotifModel::kovanen(10),
+                MotifModel::paranjape(20),
+            ] {
+                assert_matches_oracle(&graph, &model, k);
+            }
+        }
+    });
+    assert!(with_durations >= 24, "the corpus must carry durations ({with_durations} graphs)");
 }
 
 /// Parallel counting is identical to serial counting.

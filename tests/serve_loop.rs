@@ -468,22 +468,25 @@ fn http_scrape_surface_serves_metrics_health_and_timeseries() {
     assert!(status.contains(" 200 "));
     assert_eq!(body, "ok\n");
 
-    // Wait for the background sampler to fold at least one window,
-    // then the JSON must parse with the `tnm top` parser.
-    let mut points = Vec::new();
-    for _ in 0..200 {
+    // Wait for the background sampler to fold a window that covers the
+    // query (a first scrape may see only windows taken before it); the
+    // JSON must parse with the `tnm top` parser throughout.
+    let queries_in = |points: &[tnm_obs::TimePoint]| -> u64 {
+        points.iter().filter_map(|p| p.delta.counters.get("serve.queries")).sum()
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    let points = loop {
         let (status, body) = scrape(http, "/timeseries");
         assert!(status.contains(" 200 "));
-        points = tnm_obs::parse_timeseries_json(&body).expect("valid /timeseries JSON");
-        if !points.is_empty() {
-            break;
+        let points = tnm_obs::parse_timeseries_json(&body).expect("valid /timeseries JSON");
+        if queries_in(&points) == 1 || std::time::Instant::now() >= deadline {
+            break points;
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    };
     assert!(!points.is_empty(), "the sampler must record within 2 s");
     assert!(points.iter().all(|p| p.at_unix_ms > 0));
-    let total_queries: u64 =
-        points.iter().filter_map(|p| p.delta.counters.get("serve.queries")).sum();
+    let total_queries = queries_in(&points);
     assert_eq!(total_queries, 1, "the windows' deltas must sum to the one query");
 
     let (status, _) = scrape(http, "/nope");
